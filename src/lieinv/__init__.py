@@ -53,12 +53,9 @@ from .frame import (
 )
 from .normalize import (
     EliminationResult,
-    Recipe,
     eliminate,
     functionally_equivalent,
     rescale_to_polynomial,
-    rotation_pair,
-    sum_of_squares,
 )
 from .verify import (
     InvariantCheck,

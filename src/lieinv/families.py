@@ -1,9 +1,8 @@
 """Built-in algebra families with their known invariant bases.
 
 Each constructor returns a FamilyInstance bundling the algebra, the expected
-invariants, frame options (signs, closed-form exponentials) and normalization
-recipes, so the full pipeline can be driven and cross-checked against the
-known answers.
+invariants and frame options (signs, closed-form exponentials), so the full
+pipeline can be driven and cross-checked against the known answers.
 
 Families:
 
@@ -43,7 +42,6 @@ from .expr import (
 )
 from .frame import lifted_invariants
 from .linalg import Matrix, det_exprs
-from .normalize import Recipe, rotation_pair, sum_of_squares
 
 
 @dataclass
@@ -53,7 +51,6 @@ class FamilyInstance:
     expected_invariants: list
     signs: dict = field(default_factory=dict)
     exp_recipes: dict = field(default_factory=dict)
-    recipes: list = field(default_factory=list)
     param_point: dict = None
     extra: dict = field(default_factory=dict)
 
@@ -351,51 +348,14 @@ def make_jordan(blocks, params=(), name="jordan"):
     exp_recipes = {}
     if needs_recipe:
         exp_recipes[n] = _jordan_exp_recipe(blocks)
-    recipes = []
-    for b, bb in zip(blocks, bases):
-        if b[0] == "real":
-            recipes.append(_real_block_recipe(bb, b[1], b[2], b[3]))
     return FamilyInstance(
         name=name,
         algebra=g,
         expected_invariants=expected,
         signs={n: -1},
         exp_recipes=exp_recipes,
-        recipes=recipes,
         extra={"blocks": blocks},
     )
-
-
-def _real_block_recipe(base, mu, nu, r):
-    """Resolve a whole rotation block at once.
-
-    The emitted expressions are the block's own invariants evaluated on the
-    lifted set; because they are invariants, the frame parameters cancel
-    exactly during construction.
-    """
-    slots = tuple(base + q for q in range(1, 2 * r + 1))
-
-    def build(es):
-        e1, e2 = es[0], es[1]
-        r2 = e1 * e1 + e2 * e2
-        out = [r2 * exp_of(rational(-2) * (mu / nu) * atan_of(e2 / e1))]
-        if r >= 2:
-            cross = (e1 * es[2] + e2 * es[3]) / r2
-            out.append(nu * cross - atan_of(e2 / e1))
-            out.append((e1 * es[3] - e2 * es[2]) / r2)
-            t = -cross
-            for k in range(3, r + 1):
-                hz_odd = EXPR_ZERO
-                hz_even = EXPR_ZERO
-                for j in range(1, k + 1):
-                    c = rational(Fraction(1, math.factorial(k - j)))
-                    hz_odd = hz_odd + t ** (k - j) * c * es[2 * j - 2]
-                    hz_even = hz_even + t ** (k - j) * c * es[2 * j - 1]
-                out.append((e1 * hz_odd + e2 * hz_even) / r2)
-                out.append((e2 * hz_odd - e1 * hz_even) / r2)
-        return out
-
-    return Recipe("block(%d..%d)" % (base + 1, base + 2 * r), slots, slots, build)
 
 
 def _jordan_exp_recipe(blocks):
@@ -667,13 +627,11 @@ def make_g6_38(a=None):
     x1, x2, x3 = coord(1), coord(2), coord(3)
     if a_expr.is_zero():
         expected = [x1, x2 * x2 + x3 * x3]
-        recipes = [sum_of_squares(2, 3)]
     else:
         expected = [
             (x2 * x2 + x3 * x3) / x1,
             x1 * exp_of(rational(-2) * a_expr * atan_of(x3 / x2)),
         ]
-        recipes = [rotation_pair(2, 3, rational(-2) * a_expr)]
 
     def e6_recipe(t):
         e2 = exp_of(rational(-2) * a_expr * t) if not a_expr.is_zero() else EXPR_ONE
@@ -696,7 +654,6 @@ def make_g6_38(a=None):
         expected_invariants=expected,
         signs={6: -1},
         exp_recipes={6: e6_recipe},
-        recipes=recipes,
         param_point=param_point,
         extra={"a": a_expr},
     )

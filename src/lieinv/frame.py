@@ -15,6 +15,7 @@ blocks and formal-parameter eigenvalues).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -55,18 +56,11 @@ def exp_nilpotent(mat, t):
     while not power.is_zero():
         if k > n:
             raise KernelError("matrix is not nilpotent")
-        acc = acc.add(power.scale(tk * rational(Fraction(1, _factorial(k)))))
+        acc = acc.add(power.scale(tk * rational(Fraction(1, math.factorial(k)))))
         power = power.mul(mat)
         tk = tk * t
         k += 1
     return acc
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def exp_ad(mat, t):
@@ -264,8 +258,8 @@ class _FactorSample:
                         raise KernelError(
                             "unexpected %s inside a frame factor" % atom.head
                         )
-        self.exp_den = _lcm_all(exp_dens)
-        self.trig_den = _lcm_all(trig_dens)
+        self.exp_den = math.lcm(*exp_dens)
+        self.trig_den = math.lcm(*trig_dens)
         base = Fraction(rng.randint(2, 97), rng.randint(2, 97))
         self.exp_unit = base if base != 1 else Fraction(2)
         r = Fraction(rng.randint(1, 40), rng.randint(41, 80))
@@ -333,19 +327,6 @@ class _FactorSample:
 
     def matrix(self, mat):
         return [[self.evaluate_entry(v) for v in row] for row in mat.rows]
-
-
-def _lcm_all(values):
-    acc = 1
-    for v in values:
-        acc = acc * v // _gcd(acc, v)
-    return acc
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _rotation_power(c, s, m):

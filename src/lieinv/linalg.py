@@ -8,6 +8,7 @@ fast for the sampling-based rank computations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .expr import EXPR_ONE, EXPR_ZERO, KernelError
@@ -355,7 +356,7 @@ def _find_rational_root(coeffs):
         return Fraction(0)
     den = 1
     for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = math.lcm(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
     a0 = abs(ints[-1])
     an = abs(ints[0])
@@ -372,12 +373,6 @@ def _horner(coeffs, x):
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -17,16 +17,22 @@ frame parameter th (lowest index first):
   and substituted, so polynomial occurrences of th become logarithmic terms.
   Requires th to stay out of cos/sin/atan arguments.
 
-When no pivot applies, registered recipes may replace chosen entries by
-combinations (sum of squares of a rotation pair, exponentiated arctangent,
-cross ratios); then pivoting resumes.  Survivors must be parameter-free and
-are re-verified exactly against the annihilation system before they are
-returned.
+When no pivot applies, a rotation pair is put in polar form.  The base pair
+is the first pair (Ei, Ej) of entries carrying cos/sin whose radius square
+r2 = Ei^2 + Ej^2 is trig-free and whose angle atan(Ej/Ei) collapses to
+nu*th + (a part free of th).  Ei becomes r2 and Ej the angle, or
+exp(-(rho/nu)*angle) when r2 carries exp(rho*th).  Every other pair
+(Ek, El) turning with it becomes the trig-free cross terms
+(Ei*Ek + Ej*El)/r2 and (Ei*El - Ej*Ek)/r2; pairs turning at another
+frequency wait for the next stall.  Each pair goes in as two entries and
+comes out as two, so the step keeps the rank; then pivoting resumes.
+Survivors must be parameter-free and are re-verified exactly against the
+annihilation system before they are returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
@@ -57,21 +63,6 @@ class PivotRecord:
     constant: int
     solution: Expr
     assumptions: list
-
-
-@dataclass
-class Recipe:
-    """Replace chosen active entries by combinations of them.
-
-    inputs are 1-based positions in the original lifted list; consumes must
-    be a subset of inputs.  build receives the current expressions at the
-    input positions, in order, and returns the replacement expressions.
-    """
-
-    name: str
-    inputs: tuple
-    consumes: tuple
-    build: object
 
 
 @dataclass
@@ -310,10 +301,98 @@ def _try_exp_log(f, th, label, others):
 
 
 # ---------------------------------------------------------------------------
+# rotation pairs
+
+
+def _has_trig(f):
+    return any(a.head in ("cos", "sin") for a in f.generator_atoms())
+
+
+def _turns(f):
+    """True when f carries cos/sin of an argument holding a frame parameter."""
+    return any(
+        a.head in ("cos", "sin") and _theta_atoms(a.data) for a in f.generator_atoms()
+    )
+
+
+def _angle_rate(phi):
+    """(th, nu) with phi = nu*th + (a part free of th), nu nonzero, else None."""
+    for th in _theta_atoms(phi):
+        nu = _linear_coefficient(phi, th)
+        if nu is None or nu.is_zero() or nu.depends_on(th):
+            continue
+        if not (phi - nu * from_atom(th)).depends_on(th):
+            return th, nu
+    return None
+
+
+def _polar(ei, ej):
+    """(r2, angle entry) for a base rotation pair, or None."""
+    r2 = ei * ei + ej * ej
+    if _has_trig(r2):
+        return None
+    phi = atan_of(ej / ei)
+    rate = _angle_rate(phi)
+    if rate is None:
+        return None
+    th, nu = rate
+    stripped = _strip_common_ep(r2.num)
+    if stripped is None or stripped[1] is None or r2.den.has_transcendentals():
+        return r2, phi
+    rho = _linear_coefficient(stripped[1].base, th)
+    if rho is None or rho.is_zero():
+        return r2, phi
+    return r2, exp_of(-(rho / nu) * phi)
+
+
+def _rotation_step(active):
+    """Polar form of the first usable rotation pair; (new active, name) or None."""
+    trig = [k for k, (_, f) in enumerate(active) if _turns(f)]
+    for a, i in enumerate(trig):
+        for j in trig[a + 1:]:
+            ei, ej = active[i][1], active[j][1]
+            try:
+                polar = _polar(ei, ej)
+            except (KernelError, ZeroDivisionError):
+                continue
+            if polar is None:
+                continue
+            out = list(active)
+            out[i] = (active[i][0], polar[0])
+            out[j] = (active[j][0], polar[1])
+            _rotate_followers(out, trig, (i, j), ei, ej, polar[0])
+            return out, "rotation-pair(%s,%s)" % (active[i][0], active[j][0])
+    return None
+
+
+def _rotate_followers(out, trig, used, ei, ej, r2):
+    """Replace every pair turning with (ei, ej) by its trig-free cross terms."""
+    used = set(used)
+    for a, k in enumerate(trig):
+        if k in used:
+            continue
+        for l in trig[a + 1:]:
+            if l in used:
+                continue
+            ek, el = out[k][1], out[l][1]
+            try:
+                u = (ei * ek + ej * el) / r2
+                v = (ei * el - ej * ek) / r2
+            except (KernelError, ZeroDivisionError):
+                continue
+            if _has_trig(u) or _has_trig(v):
+                continue
+            out[k] = (out[k][0], u)
+            out[l] = (out[l][0], v)
+            used.update((k, l))
+            break
+
+
+# ---------------------------------------------------------------------------
 # the driver
 
 
-def eliminate(lifted, recipes=()):
+def eliminate(lifted):
     """Run the normalization and return the invariants with a full trace."""
     from .verify import check_invariant
 
@@ -321,7 +400,6 @@ def eliminate(lifted, recipes=()):
     active = [(str(i + 1), f) for i, f in enumerate(exprs)]
     pivots = []
     applied = []
-    pending = list(recipes)
     assumptions = []
     seen_assumptions = set()
 
@@ -371,35 +449,12 @@ def eliminate(lifted, recipes=()):
             pivots.append(record)
             active = rebuilt
             continue
-        # stall: try a recipe
-        fired = None
-        labels_present = {l for l, _ in active}
-        for ridx, recipe in enumerate(pending):
-            need = [str(i) for i in recipe.inputs]
-            if not all(n in labels_present for n in need):
-                continue
-            current = {l: h for l, h in active}
-            try:
-                built = recipe.build([current[n] for n in need])
-            except (KernelError, ZeroDivisionError):
-                continue
-            fired = (ridx, recipe, built)
+        # stall: put a rotation pair in polar form
+        step = _rotation_step(active)
+        if step is None:
             break
-        if fired is None:
-            break
-        ridx, recipe, built = fired
-        pending.pop(ridx)
-        applied.append(recipe.name)
-        consumed = {str(i) for i in recipe.consumes}
-        slot = min(
-            i for i, (l, _) in enumerate(active) if l in consumed
-        )
-        kept_before = [it for it in active[:slot] if it[0] not in consumed]
-        kept_after = [it for it in active[slot:] if it[0] not in consumed]
-        newly = [
-            ("%s.%d" % (recipe.name, k + 1), h) for k, h in enumerate(built)
-        ]
-        active = kept_before + newly + kept_after
+        active, name = step
+        applied.append(name)
         poisoned.clear()
 
     survivors = []
@@ -426,56 +481,6 @@ def eliminate(lifted, recipes=()):
         residual=residual,
         applied_recipes=applied,
         complete=not residual,
-    )
-
-
-# ---------------------------------------------------------------------------
-# recipe builders
-
-
-def sum_of_squares(i, j, name=None):
-    return Recipe(
-        name or "sum-of-squares(%d,%d)" % (i, j),
-        (i, j),
-        (i, j),
-        lambda es: [es[0] * es[0] + es[1] * es[1]],
-    )
-
-
-def rotation_pair(i, j, coeff, name=None):
-    """Replace a rotation pair by its radius-square and twisted exponential."""
-    coeff = coeff if isinstance(coeff, Expr) else rational(coeff)
-
-    def build(es):
-        return [
-            es[0] * es[0] + es[1] * es[1],
-            exp_of(coeff * atan_of(es[1] / es[0])),
-        ]
-
-    return Recipe(name or "rotation-pair(%d,%d)" % (i, j), (i, j), (i, j), build)
-
-
-def paired_ratios(i, j, k, l, freq, name=None):
-    """Cross ratios of a second rotation pair against a base pair.
-
-    Emits nu*(Ei*Ek + Ej*El)/(Ei^2 + Ej^2) - atan(Ej/Ei) and
-    (Ei*El - Ej*Ek)/(Ei^2 + Ej^2).
-    """
-    freq = freq if isinstance(freq, Expr) else rational(freq)
-
-    def build(es):
-        ei, ej, ek, el = es
-        r2 = ei * ei + ej * ej
-        return [
-            freq * (ei * ek + ej * el) / r2 - atan_of(ej / ei),
-            (ei * el - ej * ek) / r2,
-        ]
-
-    return Recipe(
-        name or "paired-ratios(%d,%d;%d,%d)" % (i, j, k, l),
-        (i, j, k, l),
-        (k, l),
-        build,
     )
 
 

@@ -82,7 +82,7 @@ def test_03_unit_eigenvalue_single_chain_up_to_dim_eight():
         assert len(inst.expected_invariants) == n - 2, n
         for f in inst.expected_invariants:
             assert check_invariant(g, f).ok, (n, expr_str(f))
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete, n
         assert functionally_equivalent(
             res.invariants, inst.expected_invariants, g, seed=13
@@ -263,7 +263,7 @@ def test_07_six_dimensional_worked_example_end_to_end():
         for f in case.expected_invariants:
             assert check_invariant(case.algebra, f).ok, expr_str(f)
 
-    res = eliminate(inst.lifted(), recipes=inst.recipes)
+    res = eliminate(inst.lifted())
     assert res.complete
     assert [expr_str(f) for f in res.invariants] == [
         "(x2^2 + x3^2)/x1",

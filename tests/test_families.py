@@ -199,7 +199,7 @@ class TestChainBlockFamily:
             [("jordan", 1, 1), ("jordan", 0, 2)],
         ):
             inst = make_jordan(blocks)
-            res = eliminate(inst.lifted(), recipes=inst.recipes)
+            res = eliminate(inst.lifted())
             assert res.complete
             assert functionally_equivalent(
                 res.invariants, inst.expected_invariants, inst.algebra, seed=21
@@ -471,7 +471,7 @@ class TestWorkedSixDimensional:
 
     def test_formal_parameter_basis_from_elimination(self):
         inst = make_g6_38()
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete
         assert [expr_str(f) for f in res.invariants] == [
             "(x2^2 + x3^2)/x1",

@@ -1,22 +1,34 @@
-"""Parameter elimination: pivoting, recipes, rescaling, functional equivalence."""
+"""Parameter elimination: pivoting, rotation pairs, rescaling, functional equivalence."""
 
-from fractions import Fraction
-
-import pytest
+import contextlib
+import io
 
 from lieinv import (
+    builtin_instances,
     check_invariant,
     coord,
     eliminate,
     functionally_equivalent,
     lie_algebra,
     lifted_invariants,
+    rank_coadjoint,
     rescale_to_polynomial,
-    rotation_pair,
-    sum_of_squares,
 )
-from lieinv.expr import expr_str, rational, theta_atom
+from lieinv.cli import EXIT_OK, main as cli_main
+from lieinv.expr import expr_str, theta, theta_atom
 from lieinv.families import make_g6_38, make_jordan, make_s1, make_s4
+from test_acceptance import PAIR_ROWS
+
+
+class _Row:
+    """A hand-made lifted row: the algebra and the expressions to eliminate."""
+
+    def __init__(self, algebra, exprs):
+        self.algebra = algebra
+        self._exprs = exprs
+
+    def exprs(self):
+        return list(self._exprs)
 
 
 def heisenberg():
@@ -53,7 +65,7 @@ class TestBasicElimination:
             make_s1(5, 1, 0),
             make_s4(6),
         ):
-            res = eliminate(inst.lifted(), recipes=inst.recipes)
+            res = eliminate(inst.lifted())
             assert res.complete
             for f in res.invariants:
                 assert check_invariant(inst.algebra, f).ok
@@ -80,7 +92,7 @@ class TestChainFamilyOracles:
 
     def test_nonzero_eigenvalue_no_polynomial_rescale(self):
         inst = make_jordan([("jordan", 1, 3)])
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete and len(res.invariants) == 2
         assert functionally_equivalent(
             res.invariants, inst.expected_invariants, inst.algebra, seed=5
@@ -88,27 +100,32 @@ class TestChainFamilyOracles:
         _, notes = rescale_to_polynomial(res.invariants)
         assert notes  # exp factors admit no polynomial form
 
-    def test_real_block_recipe_reproduces_expected_exactly(self):
-        inst = make_jordan([("real", 1, 1, 2)])
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+    def test_real_block_rotation_pair_matches_expected(self):
+        inst = make_jordan([("real", 1, 1, 2)], name="R11(5)")
+        res = eliminate(inst.lifted())
         assert res.complete
-        assert res.applied_recipes == ["block(1..4)"]
+        assert res.applied_recipes == ["rotation-pair(1,2)"]
         assert len(res.invariants) == 3
-        for got, want in zip(res.invariants, inst.expected_invariants):
-            assert got.equals(want)
+        for f in res.invariants:
+            assert check_invariant(inst.algebra, f).ok
+        assert functionally_equivalent(
+            res.invariants, inst.expected_invariants, inst.algebra, seed=4
+        )
 
 
 class TestRecipes:
-    def test_stall_without_recipe(self):
-        inst = make_g6_38()
-        res = eliminate(inst.lifted())
+    def test_unresolvable_entry_stays_residual(self):
+        # quadratic in th1: no pivot applies and no rotation pair exists
+        stuck = coord(1) * theta(1) ** 2 + coord(2)
+        res = eliminate(_Row(lie_algebra(2, {}), [stuck, coord(1)]))
         assert not res.complete
-        assert res.invariants == []
-        assert len(res.residual) == 3
+        assert res.residual == [stuck]
+        assert [expr_str(f) for f in res.invariants] == ["x1"]
+        assert res.applied_recipes == []
 
     def test_rotation_pair_completes(self):
         inst = make_g6_38()
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete
         assert res.applied_recipes == ["rotation-pair(2,3)"]
         got = [expr_str(f) for f in res.invariants]
@@ -116,23 +133,53 @@ class TestRecipes:
 
     def test_sum_of_squares_on_unrotated_case(self):
         inst = make_g6_38(0)
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete
         assert functionally_equivalent(
             res.invariants, inst.expected_invariants, inst.algebra, seed=1
         )
 
-    def test_recipe_constructors(self):
-        r = sum_of_squares(2, 3)
-        assert r.inputs == (2, 3)
-        rp = rotation_pair(2, 3, rational(Fraction(-2)))
-        assert rp.inputs == (2, 3)
+
+class TestRankGate:
+    """Elimination keeps the rank: dim - rank_coadjoint verified invariants."""
+
+    def _check(self, inst, label):
+        g = inst.algebra
+        res = eliminate(inst.lifted())
+        assert res.complete, label
+        rank, _ = rank_coadjoint(g, seed=3, param_point=inst.param_point)
+        assert res.count == g.dim - rank, label
+        assert functionally_equivalent(
+            res.invariants,
+            inst.expected_invariants,
+            g,
+            seed=1,
+            param_point=inst.param_point,
+        ), label
+
+    def test_pair_rows(self):
+        for blocks in PAIR_ROWS:
+            self._check(make_jordan(blocks), blocks)
+
+    def test_builtin_instances_up_to_dim_ten(self):
+        for inst in builtin_instances():
+            if inst.algebra.dim <= 10:
+                self._check(inst, inst.algebra.name)
+
+    def test_cli_mixed_rotation_row(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(
+                ["family", "jordan", "--blocks", "real,1,1,2;jordan,1,2", "--run"]
+            )
+        assert code == EXIT_OK
+        assert "# elimination: complete=True count=5 rank=2" in out.getvalue()
 
 
 class TestSingularMembers:
     def test_singular_series_uses_log_pivots(self):
         inst = make_s1(5, 1, -3)
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete
         assert "exp" in [p.kind for p in res.pivots]
         assert functionally_equivalent(
@@ -145,7 +192,7 @@ class TestSingularMembers:
 
     def test_quotient_powers_series(self):
         inst = make_s4(6)
-        res = eliminate(inst.lifted(), recipes=inst.recipes)
+        res = eliminate(inst.lifted())
         assert res.complete and len(res.invariants) == 2
         assert functionally_equivalent(
             res.invariants, inst.expected_invariants, inst.algebra, seed=3
