@@ -10,13 +10,16 @@ Subcommands:
 * family NAME ... -- emit a built-in algebra document with its known basis
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 closed-form exponential needed or elimination incomplete.
+3 no exact exponential (irrational or formal rotation frequency) or
+elimination incomplete, 141 (128 + SIGPIPE) the reader closed standard output
+early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -50,6 +53,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RECIPE = 3
+EXIT_BROKEN_PIPE = 141
 
 _FAMILIES = ("t0", "jordan", "s1", "s2", "s3", "s4", "g6_38")
 
@@ -154,23 +158,23 @@ def cmd_lifted(args):
     return EXIT_OK
 
 
-def _pipeline(g, args, exp_recipes=None, signs=None, param_point=None):
+def _pipeline(g, args, signs=None, param_point=None):
     """Frame, elimination and sampled rank.
 
     eliminate checks every survivor against the coadjoint system and raises
     KernelError on one that fails, so the returned invariants are verified.
     """
-    lift = lifted_invariants(g, signs=signs, recipes=exp_recipes)
+    lift = lifted_invariants(g, signs=signs)
     res = eliminate(lift)
-    rescaled, notes = rescale_to_polynomial(res.invariants)
     rank = jacobian_rank(lift, seed=args.seed, trials=args.trials, param_point=param_point)
-    return res, rescaled, notes, rank
+    return res, rank
 
 
 def cmd_invariants(args):
     g = _load(args.file)
     fmt = _fmt(args)
-    res, rescaled, notes, rank = _pipeline(g, args)
+    res, rank = _pipeline(g, args)
+    rescaled, notes = rescale_to_polynomial(res.invariants)
     report = {
         "dim": g.dim,
         "frame_rank": rank,
@@ -350,13 +354,7 @@ def cmd_family(args):
         mark = "ok" if c.ok else "FAILS"
         lines.append("#   [%s] %s" % (mark, fmt(f)))
     if args.run:
-        res, _, _, rank = _pipeline(
-            g,
-            args,
-            exp_recipes=inst.exp_recipes,
-            signs=inst.signs,
-            param_point=inst.param_point,
-        )
+        res, rank = _pipeline(g, args, signs=inst.signs, param_point=inst.param_point)
         report["run"] = {
             "complete": res.complete,
             "count": res.count,
@@ -439,7 +437,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # surface a closed pipe here rather than in the interpreter's final flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`lieinv ... | head`); send whatever is
+        # still buffered to /dev/null so the exit flush stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except FileNotFoundError as err:
         print("cannot read %s" % err.filename, file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Built-in algebra families with their known invariant bases.
 
 Each constructor returns a FamilyInstance bundling the algebra, the expected
-invariants and frame options (signs, closed-form exponentials), so the full
-pipeline can be driven and cross-checked against the known answers.
+invariants and the frame signs, so the full pipeline can be driven and
+cross-checked against the known answers.
 
 Families:
 
@@ -31,14 +31,12 @@ from .expr import (
     Expr,
     atan_of,
     coord,
-    cos_of,
     exp_of,
     log_of,
     param,
     param_atom,
     pow_rational,
     rational,
-    sin_of,
 )
 from .frame import lifted_invariants
 from .linalg import Matrix, det_exprs
@@ -50,14 +48,11 @@ class FamilyInstance:
     algebra: LieAlgebra
     expected_invariants: list
     signs: dict = field(default_factory=dict)
-    exp_recipes: dict = field(default_factory=dict)
     param_point: dict = None
     extra: dict = field(default_factory=dict)
 
     def lifted(self):
-        return lifted_invariants(
-            self.algebra, signs=self.signs, recipes=self.exp_recipes
-        )
+        return lifted_invariants(self.algebra, signs=self.signs)
 
 
 def _as_expr(v):
@@ -341,59 +336,13 @@ def make_jordan(blocks, params=(), name="jordan"):
             "expected-invariant assembly is inconsistent: %d for dimension %d"
             % (len(expected), n)
         )
-
-    needs_recipe = any(
-        b[0] == "real" or not b[1].is_rational() for b in blocks
-    )
-    exp_recipes = {}
-    if needs_recipe:
-        exp_recipes[n] = _jordan_exp_recipe(blocks)
     return FamilyInstance(
         name=name,
         algebra=g,
         expected_invariants=expected,
         signs={n: -1},
-        exp_recipes=exp_recipes,
         extra={"blocks": blocks},
     )
-
-
-def _jordan_exp_recipe(blocks):
-    """Closed form of exp(t * ad_en) as a block-diagonal matrix."""
-
-    def recipe(t):
-        n = sum(_block_dim(b) for b in blocks) + 1
-        rows = [[EXPR_ZERO] * n for _ in range(n)]
-        base = 0
-        for b in blocks:
-            if b[0] == "jordan":
-                _, lam, r = b
-                scale = exp_of(-lam * t) if not lam.is_zero() else EXPR_ONE
-                for i in range(r):
-                    for j in range(i, r):
-                        m = j - i
-                        c = rational(Fraction((-1) ** m, math.factorial(m)))
-                        rows[base + i][base + j] = scale * c * t**m
-            else:
-                _, mu, nu, r = b
-                scale = exp_of(-mu * t) if not mu.is_zero() else EXPR_ONE
-                crot = cos_of(nu * t)
-                srot = sin_of(nu * t)
-                rot = [[crot, -srot], [srot, crot]]
-                for bi in range(r):
-                    for bj in range(bi, r):
-                        m = bj - bi
-                        c = rational(Fraction((-1) ** m, math.factorial(m)))
-                        for u in range(2):
-                            for v in range(2):
-                                rows[base + 2 * bi + u][base + 2 * bj + v] = (
-                                    scale * c * t**m * rot[u][v]
-                                )
-            base += _block_dim(b)
-        rows[n - 1][n - 1] = EXPR_ONE
-        return Matrix(rows)
-
-    return recipe
 
 
 def polynomial_basis_predicate(blocks):
@@ -632,28 +581,11 @@ def make_g6_38(a=None):
             (x2 * x2 + x3 * x3) / x1,
             x1 * exp_of(rational(-2) * a_expr * atan_of(x3 / x2)),
         ]
-
-    def e6_recipe(t):
-        e2 = exp_of(rational(-2) * a_expr * t) if not a_expr.is_zero() else EXPR_ONE
-        e1 = exp_of(rational(-1) * a_expr * t) if not a_expr.is_zero() else EXPR_ONE
-        c, s = cos_of(t), sin_of(t)
-        rows = [[EXPR_ZERO] * 6 for _ in range(6)]
-        rows[0][0] = e2
-        rot = [[c, -s], [s, c]]
-        for i in range(2):
-            for j in range(2):
-                rows[1 + i][1 + j] = e1 * rot[i][j]
-                rows[3 + i][3 + j] = e1 * rot[i][j]
-                rows[1 + i][3 + j] = -t * e1 * rot[i][j]
-        rows[5][5] = EXPR_ONE
-        return Matrix(rows)
-
     return FamilyInstance(
         name="g6.38",
         algebra=g,
         expected_invariants=expected,
         signs={6: -1},
-        exp_recipes={6: e6_recipe},
         param_point=param_point,
         extra={"a": a_expr},
     )

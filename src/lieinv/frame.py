@@ -6,11 +6,11 @@ through B gives the lifted invariants; their generic Jacobian rank in the
 frame parameters equals the coadjoint orbit dimension, which is checked
 against the structure-matrix rank.
 
-Exponentials are exact: nilpotent matrices use the finite series, matrices
-whose characteristic polynomial splits over the rationals go through a
-generalized eigenspace decomposition, and anything else must be supplied as a
-closed-form factor by the caller (family constructors do this for rotation
-blocks and formal-parameter eigenvalues).
+Exponentials are exact and computed one connected coordinate block of the
+adjoint matrix at a time: a scalar shift times a rotation with rational
+frequency times a finite nilpotent series, or a generalized eigenspace
+decomposition when the block's spectrum splits over the rationals.  Anything
+else (irrational or formal frequencies) raises RecipeNeeded.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from fractions import Fraction
 
 from .algebra import sample_fraction
 from .expr import (
-    EXPR_ONE,
     EXPR_ZERO,
     KernelError,
     coord,
+    cos_of,
     exp_of,
     from_atom,
     param_atom,
     rational,
+    sin_of,
     substitute,
     theta_atom,
 )
@@ -43,7 +44,7 @@ from .linalg import (
 
 
 class RecipeNeeded(KernelError):
-    """The adjoint map has no rational closed form; a recipe must be given."""
+    """exp_ad has no exact form here (irrational or formal frequency)."""
 
 
 def exp_nilpotent(mat, t):
@@ -64,19 +65,65 @@ def exp_nilpotent(mat, t):
 
 
 def exp_ad(mat, t):
-    """exp(t * mat) exactly, or raise RecipeNeeded.
+    """exp(t * mat) exactly, one connected coordinate block at a time.
 
-    Handles nilpotent matrices and matrices whose characteristic polynomial
-    has rational coefficients and splits over the rationals (generalized
-    eigenspace decomposition, one polynomial-times-exponential block per
-    eigenvalue).
+    A block is mu*I + B with mu = tr/size, possibly formal.  When
+    (B^2 + nu^2 I)^size = 0 for a rational nu >= 0, B = S + N with
+    S^2 = -nu^2 I and N nilpotent, so the block is
+    exp(mu t) (cos(nu t) I + sin(nu t)/nu S) exp(t N).  Other blocks need a
+    spectrum that splits over the rationals; anything else raises
+    RecipeNeeded.
     """
     n = mat.nrows
-    probe = mat
-    for _ in range(n):
-        if probe.is_zero():
-            return exp_nilpotent(mat, t)
-        probe = probe.mul(mat)
+    comp = list(range(n))
+    for i, row in enumerate(mat.rows):
+        for j, v in enumerate(row):
+            if not v.is_zero() and comp[i] != comp[j]:
+                comp = [comp[i] if c == comp[j] else c for c in comp]
+    out = [[EXPR_ZERO] * n for _ in range(n)]
+    for label in sorted(set(comp)):
+        idx = [i for i in range(n) if comp[i] == label]
+        block = _exp_block(Matrix([[mat.rows[i][j] for j in idx] for i in idx]), t)
+        for i, row in zip(idx, block.rows):
+            for j, v in zip(idx, row):
+                out[i][j] = v
+    return Matrix(out)
+
+
+def _trace(mat):
+    return sum((mat.rows[i][i] for i in range(mat.nrows)), EXPR_ZERO)
+
+
+def _exp_block(block, t):
+    size = block.nrows
+    per_size = rational(Fraction(1, size))
+    mu = _trace(block) * per_size
+    b = block.shift(-mu)
+    b2 = b.mul(b)
+    nu2 = -_trace(b2) * per_size
+    # nu = sqrt(nu2) if nu2 is the square of a rational, else nu*nu != q
+    q = nu2.as_fraction() if nu2.is_rational() else Fraction(-1)
+    nu = Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
+    residual = b2.shift(nu2)
+    if nu * nu != q or not residual.power(size).is_zero():
+        return _exp_eigenspaces(block, t)
+    if not nu:
+        return exp_nilpotent(b, t).scale(exp_of(mu * t))
+    # Newton steps S <- S - (S^2 + nu^2)(2S)^-1 stay polynomial in B and at
+    # least double the vanishing order of the nilpotent residual S^2 + nu^2
+    s = b
+    while not residual.is_zero():
+        s = s.sub(residual.mul(inverse_exprs(s.scale(rational(2)))))
+        residual = s.mul(s).shift(nu2)
+    nu = rational(nu)
+    rot = Matrix.identity(size).scale(cos_of(nu * t))
+    rot = rot.add(s.scale(sin_of(nu * t) / nu))
+    return rot.mul(exp_nilpotent(b.sub(s), t)).scale(exp_of(mu * t))
+
+
+def _exp_eigenspaces(mat, t):
+    """exp(t * mat) through generalized eigenspaces of a split spectrum."""
+    n = mat.nrows
     coeffs = charpoly_exprs(mat)
     fracs = []
     for c in coeffs:
@@ -112,7 +159,7 @@ def exp_ad(mat, t):
         ]
         nil = Matrix(sub).shift(rational(-lam))
         eblock = exp_nilpotent(nil, t)
-        scalar = exp_of(rational(lam) * t) if lam else EXPR_ONE
+        scalar = exp_of(rational(lam) * t)
         for i in range(size):
             for j in range(size):
                 v = eblock.rows[i][j]
@@ -161,23 +208,17 @@ class MovingFrame:
         """det B = exp(sum_i sign_i th_i tr(ad_i)), computed factor-wise."""
         total = EXPR_ZERO
         for f in self.factors:
-            tr = EXPR_ZERO
-            for i in range(f.ad.nrows):
-                tr = tr + f.ad.rows[i][i]
-            total = total + rational(f.sign) * (from_atom(f.theta) * tr)
+            total = total + rational(f.sign) * (from_atom(f.theta) * _trace(f.ad))
         return exp_of(total)
 
 
-def build_frame(g, signs=None, order=None, recipes=None):
+def build_frame(g, signs=None, order=None):
     """Construct the frame for an algebra.
 
     signs: optional dict index -> +1/-1 (default +1); order: generator index
-    order (default 1..n); recipes: dict index -> callable(t_expr) -> Matrix
-    giving exp(t * ad_i) in closed form for factors the rational path cannot
-    handle.
+    order (default 1..n).
     """
     signs = signs or {}
-    recipes = recipes or {}
     order = order or range(1, g.dim + 1)
     factors = []
     for i in order:
@@ -187,9 +228,7 @@ def build_frame(g, signs=None, order=None, recipes=None):
         sign = signs.get(i, 1)
         th = theta_atom(i)
         t = from_atom(th) * rational(sign)
-        recipe = recipes.get(i)
-        closed = recipe(t) if recipe is not None else exp_ad(ad, t)
-        factors.append(FrameFactor(i, th, sign, ad, closed))
+        factors.append(FrameFactor(i, th, sign, ad, exp_ad(ad, t)))
     return MovingFrame(g, factors)
 
 
@@ -218,9 +257,9 @@ class LiftedSet:
         return list(self._exprs)
 
 
-def lifted_invariants(g, signs=None, order=None, recipes=None, frame=None):
+def lifted_invariants(g, signs=None, order=None, frame=None):
     if frame is None:
-        frame = build_frame(g, signs=signs, order=order, recipes=recipes)
+        frame = build_frame(g, signs=signs, order=order)
     return LiftedSet(frame)
 
 

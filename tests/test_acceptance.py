@@ -440,7 +440,7 @@ def test_10_randomized_property_suites_and_cli_contract():
 
     # exit-code contract and determinism
     heis = "dim 3\n[1,2] = e3\n"
-    rot = "dim 3\n[1,3] = e1 - e2\n[2,3] = e1 + e2\n"
+    rot = "dim 3\n[1,3] = e2\n[2,3] = -2*e1\n"  # eigenvalues +-i*sqrt(2)
     assert _cli(["validate", "-"], stdin=heis)[0] == EXIT_OK
     assert _cli(["verify", "-", "--expr", "x1"], stdin=heis)[0] == EXIT_VERIFY
     assert _cli(["validate", "/no/such/file"])[0] == EXIT_USAGE

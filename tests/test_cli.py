@@ -2,12 +2,20 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from lieinv.cli import EXIT_OK, EXIT_RECIPE, EXIT_USAGE, EXIT_VERIFY, main
+from lieinv.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_OK,
+    EXIT_RECIPE,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+)
 
 SO3_DOC = "dim 3\n[1,2] = e3\n[1,3] = -e2\n[2,3] = e1\n"
 HEIS_DOC = "dim 3\n[1,2] = e3\n"
@@ -17,6 +25,8 @@ REAL_DOC = (
     "[1,3] = e1 - e2\n"
     "[2,3] = e1 + e2\n"
 )
+IRRATIONAL_DOC = "dim 3\n[1,3] = e2\n[2,3] = -2*e1\n"
+COUPLED_DOC = "dim 3\n[1,3] = e1\n[2,3] = e1 + 2*e2\n"
 
 
 def run(argv, stdin=None):
@@ -105,12 +115,36 @@ class TestLiftedAndInvariants:
         assert "verified against the coadjoint system: True" in out
 
     def test_irrational_spectrum_exits_needs_recipe(self, tmp_path):
+        # ad e3 has eigenvalues +-i*sqrt(2): no exact exponential
         p = tmp_path / "rot.txt"
-        p.write_text(REAL_DOC)
+        p.write_text(IRRATIONAL_DOC)
         for cmd in ("lifted", "invariants"):
             code, out, err = run([cmd, str(p)])
             assert code == EXIT_RECIPE
             assert "closed-form exponential" in (out + err)
+
+    def test_rotation_with_rational_frequency(self, tmp_path):
+        # ad e3 has eigenvalues -1 +- i
+        p = tmp_path / "real.txt"
+        p.write_text(REAL_DOC)
+        code, out, _ = run(["lifted", str(p)])
+        assert code == EXIT_OK
+        assert "I1 = x1*cos(th3)*exp(-1*th3) + x2*sin(th3)*exp(-1*th3)" in out
+        code, out, _ = run(["invariants", str(p)])
+        assert code == EXIT_OK
+        assert "invariants found: 1 (rank 2, expected 1)" in out
+        assert (
+            "  x1^2*exp(-2*atan(x2/x1)) + x2^2*exp(-2*atan(x2/x1))\n" in out
+        )
+
+    def test_coupled_rational_spectrum(self, tmp_path):
+        # ad e3 couples e1, e2 with eigenvalues -1, -2: the eigenspace split
+        p = tmp_path / "coupled.txt"
+        p.write_text(COUPLED_DOC)
+        code, out, _ = run(["invariants", str(p)])
+        assert code == EXIT_OK
+        assert "invariants found: 1 (rank 2, expected 1)\n" in out
+        assert "  (-1*x1^2 + x1 + x2)/(x1^2)\n" in out
 
     def test_json_invariants(self, heis):
         code, out, _ = run(["--format", "json", "invariants", heis])
@@ -203,6 +237,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "somefile"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_closed_stdout_exits_quietly(self):
+        # as in `lieinv invariants - | head -0`: the reader is gone first
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lieinv.cli", "invariants", "-"],
+                input=HEIS_DOC.encode(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == b""
 
 
 class TestDeterminismGoldens:

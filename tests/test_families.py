@@ -1,4 +1,4 @@
-"""Shipped algebra families: construction, published bases, recipes, registry."""
+"""Shipped algebra families: construction, published bases, elimination, registry."""
 
 import random
 from fractions import Fraction
@@ -39,6 +39,7 @@ from lieinv.families import (
     polynomial_basis_predicate,
     unipotent_conjugation_entries,
 )
+from lieinv.frame import RecipeNeeded
 
 
 class TestTriangularFamily:
@@ -145,6 +146,17 @@ class TestChainBlockFamily:
     def test_real_block_needs_rotation(self):
         with pytest.raises(StructureError):
             make_jordan([("real", 1, 0, 1)])
+
+    def test_formal_eigenvalue_eliminates(self):
+        inst = make_jordan([("jordan", param("l"), 2)], params=("l",))
+        res = eliminate(inst.lifted())
+        assert res.complete
+        assert [expr_str(f) for f in res.invariants] == ["x1*exp(-1*x2*l/x1)"]
+
+    def test_formal_frequency_has_no_exact_frame(self):
+        inst = make_jordan([("real", 1, param("n"), 1)], params=("n",))
+        with pytest.raises(RecipeNeeded):
+            inst.lifted()
 
     @pytest.mark.parametrize(
         "blocks",

@@ -27,8 +27,10 @@ from lieinv.expr import (
     substitute,
     theta_atom,
 )
+from lieinv.families import builtin_instances, make_jordan
 from lieinv.frame import RecipeNeeded
 from lieinv.linalg import Matrix, det_exprs
+from test_acceptance import PAIR_ROWS
 
 
 def heisenberg():
@@ -88,12 +90,31 @@ class TestExpAd:
         assert expr_str(r.rows[0][1]) == "-1*th3*exp(-1*th3)"
 
     def test_irrational_spectrum_needs_recipe(self):
+        # eigenvalues +-i: a rotation with rational frequency has a closed form
         rot = Matrix([[EXPR_ZERO, rational(-1)], [EXPR_ONE, EXPR_ZERO]])
-        with pytest.raises(RecipeNeeded):
-            exp_ad(rot, theta(1))
+        got = [[expr_str(v) for v in row] for row in exp_ad(rot, theta(1)).rows]
+        assert got == [["cos(th1)", "-1*sin(th1)"], ["sin(th1)", "cos(th1)"]]
+        # eigenvalues +-sqrt(2) neither split over Q nor form a rotation
         skew = Matrix([[EXPR_ZERO, rational(2)], [EXPR_ONE, EXPR_ZERO]])
         with pytest.raises(RecipeNeeded):
             exp_ad(skew, theta(1))
+
+    def test_every_frame_factor_is_the_exact_flow(self):
+        # exp(sign*th*ad) is I at th = 0 and solves d/dth F = sign*ad*F,
+        # checked symbolically on every branch of exp_ad: nilpotent blocks,
+        # shifted rotations (formal shift in g6.38), formal-parameter drifts
+        # (s3) and a coupled block that needs the eigenspace split
+        coupled = lie_algebra(3, {(1, 3): {1: 1}, (2, 3): {1: 1, 2: 2}})
+        lifts = [inst.lifted() for inst in builtin_instances()]
+        lifts += [make_jordan(blocks).lifted() for blocks in PAIR_ROWS]
+        lifts.append(lifted_invariants(coupled))
+        for lift in lifts:
+            for f in lift.frame.factors:
+                zero = {f.theta: EXPR_ZERO}
+                assert f.closed.map(lambda e: substitute(e, zero)).is_identity()
+                deriv = f.closed.map(lambda e: differentiate(e, f.theta))
+                flow = f.ad.scale(rational(f.sign)).mul(f.closed)
+                assert deriv.sub(flow).is_zero(), (lift.algebra.name, f.gen_index)
 
 
 class TestBuildFrame:
