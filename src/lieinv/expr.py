@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -577,7 +578,11 @@ def poly_var(atom):
 # ---------------------------------------------------------------------------
 # polynomial gcd (transcendental-free only)
 
-_GCD_TERM_LIMIT = 400
+# Prime modulus of the trivial-gcd probe, and the source of its points.  The
+# gcd that poly_gcd returns does not depend on the point (see its docstring),
+# so the draws never reach a result.
+_PROBE_PRIME = (1 << 61) - 1
+_PROBE_RNG = random.Random(1971)
 
 
 def _content(p):
@@ -622,18 +627,29 @@ def _gcd_many(polys):
 
 
 def poly_gcd(p, q):
-    """Multivariate gcd of transcendental-free polynomials.
+    """Multivariate gcd of transcendental-free polynomials, computed exactly.
 
-    Primitive Euclid with pseudo-division; bails out to 1 if intermediate
-    results grow past a size guard, which only costs canonical reduction,
-    never correctness.
+    The result is primitive with a positive leading coefficient, POLY_ONE
+    when the gcd is constant.  _gcd_is_constant first tries to prove the gcd
+    constant from images mod P = _PROBE_PRIME at a drawn point; when it
+    cannot, primitive Euclid with pseudo-division in the largest atom, on
+    contents and primitive parts, computes the gcd.
+
+    The probe's certificate: take the gcd G primitive over the integers and
+    let v be an atom shared by p and q (G has no other atoms).  By Gauss's
+    lemma p = c*G*A with A integral, so when P divides no coefficient
+    denominator of p and lc_v(p) does not vanish at the point, the image of
+    G keeps its v-degree and divides the images of p and q in v.  A constant
+    image gcd for every such v therefore proves G constant, and the result
+    does not depend on the point.
     """
     if p.is_zero:
         return q.scale(QONE / _content(q)) if not q.is_zero else POLY_ZERO
     if q.is_zero:
         return p.scale(QONE / _content(p))
     atoms = p.atoms() | q.atoms()
-    if not atoms:
+    point = {a: _PROBE_RNG.getrandbits(61) for a in atoms}
+    if _gcd_is_constant(p, q, point):
         return POLY_ONE
     v = max(atoms, key=lambda a: a.skey)
     pu = _as_univariate(p, v)
@@ -644,22 +660,81 @@ def poly_gcd(p, q):
     pp = {e: _poly_exact_div(c, cont_p) for e, c in pu.items()}
     qp = {e: _poly_exact_div(c, cont_q) for e, c in qu.items()}
     a, b = (pp, qp) if max(pp) >= max(qp) else (qp, pp)
-    while True:
-        if not b:
-            g = a
-            break
-        r = _pseudo_rem(a, b, v)
-        if r is None:
-            return cont  # size guard tripped: settle for the content part
-        if not r:
-            g = b
-            break
-        a, b = b, _primitive_univ(r)
-        if sum(len(c.terms) for c in b.values()) > _GCD_TERM_LIMIT:
-            return cont
-    g = _primitive_univ(g)
+    while b:
+        a, b = b, _primitive_univ(_pseudo_rem(a, b))
+    g = _primitive_univ(a)
     out = cont.mul(_from_univariate(g, v))
     return out.scale(QONE / _content(out))
+
+
+def _gcd_is_constant(p, q, point):
+    """True when images mod P prove gcd(p, q) constant, False for unknown.
+
+    p and q are nonzero; point maps each of their atoms to a residue.  For
+    each shared atom v the other atoms are set to the point.  A denominator
+    divisible by P, a vanishing leading coefficient (an image below its
+    v-degree) or a nonconstant image gcd gives unknown.  See poly_gcd.
+    """
+    shared = p.atoms() & q.atoms()
+    if not shared:
+        return True
+    terms_p = _residue_terms(p)
+    terms_q = _residue_terms(q)
+    if terms_p is None or terms_q is None:
+        return False
+    for v in shared:
+        a = _univariate_image(terms_p, v, point)
+        b = _univariate_image(terms_q, v, point)
+        if not a[-1] or not b[-1]:
+            return False
+        while b:
+            a, b = b, _gf_rem(a, b)
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _residue_terms(p):
+    """[(coefficient mod P, vars)] of p, or None if P divides a denominator."""
+    out = []
+    for m, c in p.terms.items():
+        den = c.denominator
+        if den == 1:
+            out.append((c.numerator % _PROBE_PRIME, m.vars))
+        elif den % _PROBE_PRIME:
+            out.append((c.numerator * pow(den, -1, _PROBE_PRIME) % _PROBE_PRIME, m.vars))
+        else:
+            return None
+    return out
+
+
+def _univariate_image(terms, v, point):
+    """Dense coefficients (lowest first) in v, other atoms at point, mod P."""
+    coeffs = {}
+    for c, vars in terms:
+        k = 0
+        for a, e in vars:
+            if a is v:
+                k = e
+            else:
+                c = c * (point[a] if e == 1 else pow(point[a], e, _PROBE_PRIME)) % _PROBE_PRIME
+        coeffs[k] = (coeffs.get(k, 0) + c) % _PROBE_PRIME
+    return [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+
+
+def _gf_rem(a, b):
+    """Remainder of dense a by dense b (b's top coefficient nonzero) mod P."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, _PROBE_PRIME)
+    while len(a) > db:
+        c = a.pop() * inv % _PROBE_PRIME
+        off = len(a) - db
+        for i in range(db):
+            a[off + i] = (a[off + i] - c * b[i]) % _PROBE_PRIME
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _primitive_univ(u):
@@ -669,11 +744,10 @@ def _primitive_univ(u):
     return {e: _poly_exact_div(c, cont) for e, c in u.items()}
 
 
-def _pseudo_rem(a, b, v):
-    da, db = max(a), max(b)
+def _pseudo_rem(a, b):
+    db = max(b)
     lb = b[db]
     r = dict(a)
-    steps = 0
     while r and max(r) >= db:
         dr = max(r)
         lr = r[dr]
@@ -689,9 +763,6 @@ def _pseudo_rem(a, b, v):
             piece = c.mul(lr)
             nr[k] = nr[k].sub(piece) if k in nr else piece.neg()
         r = {e: c for e, c in nr.items() if not c.is_zero}
-        steps += 1
-        if steps > 64 or sum(len(c.terms) for c in r.values()) > _GCD_TERM_LIMIT:
-            return None
     return r
 
 

@@ -21,6 +21,7 @@ from lieinv.expr import (
     log_of,
     param,
     param_atom,
+    poly_gcd,
     pow_rational,
     rational,
     sin_of,
@@ -28,6 +29,7 @@ from lieinv.expr import (
     theta,
     theta_atom,
 )
+from lieinv.expr import _PROBE_PRIME, _gcd_is_constant
 
 X1, X2, X3 = coord(1), coord(2), coord(3)
 T1 = theta(1)
@@ -283,3 +285,95 @@ class TestStructureQueries:
         f = X1 * X3 - rational(Fraction(1, 2)) * X2 * X2
         assert expr_str(f) == "x1*x3 - 1/2*x2^2"
         assert expr_str(f) == expr_str(X1 * X3 - X2 * X2 / rational(2))
+
+
+class TestPolyGcd:
+    ATOMS = (X1, X2, X3, T1, param("a"))
+
+    @classmethod
+    def random_terms(cls, rng, nterms):
+        """[(coefficient, exponents)] over ATOMS, total degree <= 2 per term."""
+        out = []
+        for _ in range(nterms):
+            exps = [0] * len(cls.ATOMS)
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randrange(len(exps))] += 1
+            num = rng.choice([n for n in range(-5, 6) if n])
+            out.append((Fraction(num, rng.randint(1, 4)), exps))
+        return out
+
+    @classmethod
+    def build(cls, terms, syms):
+        sympy = pytest.importorskip("sympy")
+        ours, theirs = EXPR_ZERO, sympy.Integer(0)
+        for c, exps in terms:
+            mono, smono = rational(c), sympy.Rational(c.numerator, c.denominator)
+            for atom, sym, e in zip(cls.ATOMS, syms, exps):
+                mono = mono * atom ** e
+                smono = smono * sym ** e
+            ours, theirs = ours + mono, theirs + smono
+        return ours.num, sympy.expand(theirs)
+
+    @staticmethod
+    def to_sympy(poly, names):
+        sympy = pytest.importorskip("sympy")
+        acc = sympy.Integer(0)
+        for m, c in poly.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for a, e in m.vars:
+                term = term * names[a] ** e
+            acc += term
+        return acc
+
+    def test_matches_sympy_gcd(self):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1 x2 x3 th1 a")
+        atoms = (coord_atom(1), coord_atom(2), coord_atom(3), theta_atom(1), param_atom("a"))
+        names = dict(zip(atoms, syms))
+        rng = random.Random(1979)
+        nonconstant = 0
+        for _ in range(40):
+            g = self.random_terms(rng, 0 if rng.random() < 0.3 else rng.randint(1, 3))
+            a = self.random_terms(rng, rng.randint(1, 4))
+            b = self.random_terms(rng, rng.randint(1, 4))
+            pg, sg = self.build(g, syms)
+            pa, sa = self.build(a, syms)
+            pb, sb = self.build(b, syms)
+            if not pg.is_zero:
+                pa, sa = pa.mul(pg), sympy.expand(sa * sg)
+                pb, sb = pb.mul(pg), sympy.expand(sb * sg)
+            if pa.is_zero or pb.is_zero:
+                continue
+            expected = sympy.gcd(sa, sb)
+            got = poly_gcd(pa, pb)
+            ratio = sympy.cancel(self.to_sympy(got, names) / expected)
+            assert ratio.is_Rational and ratio != 0, (pa, pb, got, expected)
+            point = {atom: rng.randrange(_PROBE_PRIME) for atom in pa.atoms() | pb.atoms()}
+            if _gcd_is_constant(pa, pb, point):
+                assert not expected.free_symbols, (pa, pb)
+            else:
+                nonconstant += bool(expected.free_symbols)
+        assert nonconstant > 10
+
+    def test_probe_no_shared_atom_is_constant(self):
+        assert _gcd_is_constant((X1 + 1).num, (X2 * X3 + 1).num, {})
+
+    def test_probe_vanishing_leading_coefficient_is_unknown(self):
+        p, q = (X1 * X2 + 1).num, (X1 * X2 + X3).num
+        x1, x2, x3 = coord_atom(1), coord_atom(2), coord_atom(3)
+        assert not _gcd_is_constant(p, q, {x1: 0, x2: 5, x3: 7})
+        assert _gcd_is_constant(p, q, {x1: 2, x2: 5, x3: 7})
+
+    def test_probe_denominator_divisible_by_prime_is_unknown(self):
+        p = (rational(Fraction(1, _PROBE_PRIME)) * X1 * X2 + 1).num
+        q = (X1 + X2).num
+        point = {coord_atom(1): 3, coord_atom(2): 5}
+        assert not _gcd_is_constant(p, q, point)
+        assert _gcd_is_constant((rational(Fraction(1, 3)) * X1 * X2 + 1).num, q, point)
+
+    def test_probe_nonconstant_gcd_is_unknown(self):
+        g = X1 + X2
+        p, q = (g * (X1 - 1)).num, (g * (X2 + 3)).num
+        point = {coord_atom(1): 11, coord_atom(2): 13}
+        assert not _gcd_is_constant(p, q, point)
+        assert poly_gcd(p, q) == g.num
