@@ -44,7 +44,7 @@ from .families import (
     make_s4,
     make_t0,
 )
-from .frame import RecipeNeeded, jacobian_rank, lifted_invariants
+from .frame import RecipeNeeded, lifted_invariants
 from .io import ParseError, expr_latex, parse_expr, load_algebra, render_algebra
 from .normalize import eliminate, rescale_to_polynomial
 from .verify import check_invariant, is_central, symmetrize
@@ -159,14 +159,18 @@ def cmd_lifted(args):
 
 
 def _pipeline(g, args, signs=None, param_point=None):
-    """Frame, elimination and sampled rank.
+    """Frame, elimination and the sampled coadjoint rank.
 
     eliminate checks every survivor against the coadjoint system and raises
     KernelError on one that fails, so the returned invariants are verified.
+    The rank is the generic rank of the structure matrix C(x), sampled by
+    rank_coadjoint at --seed/--trials with the parameters at param_point; a
+    complete basis has dim - rank members (Beltrametti-Blasi).  It equals
+    the generic rank of the lifted set's theta-Jacobian (frame.jacobian_rank).
     """
     lift = lifted_invariants(g, signs=signs)
     res = eliminate(lift)
-    rank = jacobian_rank(lift, seed=args.seed, trials=args.trials, param_point=param_point)
+    rank, _ = rank_coadjoint(g, seed=args.seed, trials=args.trials, param_point=param_point)
     return res, rank
 
 

@@ -182,13 +182,6 @@ class ExpPart:
             acc = acc + coeff * from_atom(atom)
         return acc
 
-    def scaled(self, k):
-        """w * k for an integer k (used when powering a monomial)."""
-        if k == 0:
-            return None
-        kq = rational(k)
-        return make_exppart(self.base * kq, [(a, c * kq) for a, c in self.terms])
-
     def merged(self, other):
         """w1 + w2 (used when multiplying monomials)."""
         if other is None:
@@ -264,14 +257,6 @@ class Monomial:
             acc[a] = acc.get(a, 0) + e
         ep = self.ep.merged(other.ep) if self.ep is not None else other.ep
         return make_monomial(acc.items(), ep)
-
-    def pow(self, k):
-        if k == 0:
-            return MONO_ONE
-        if k == 1:
-            return self
-        ep = self.ep.scaled(k) if self.ep is not None else None
-        return make_monomial([(a, e * k) for a, e in self.vars], ep)
 
     def without(self, atom, k):
         """Divide out atom**k (k must not exceed the stored exponent)."""
@@ -867,9 +852,6 @@ class Expr:
         _collect_atoms(self, seen)
         return seen
 
-    def var_atoms(self):
-        return {a for a in self.atoms() if not a.is_generator}
-
     def depends_on(self, atom):
         return atom in self.atoms()
 
@@ -1361,6 +1343,9 @@ def substitute(f, mapping):
 
 
 def _subst_poly(p, mapping, cache):
+    fast = _subst_poly_common_den(p, mapping)
+    if fast is not None:
+        return fast
     acc = EXPR_ZERO
     for m, c in p.terms.items():
         term = rational(c)
@@ -1373,6 +1358,49 @@ def _subst_poly(p, mapping, cache):
             term = term * exp_of(w)
         acc = acc + term
     return acc
+
+
+def _subst_poly_common_den(p, mapping):
+    """p with each mapped atom a -> N_a/D_a, summed over prod D_a^k_a.
+
+    k_a is the largest exponent of a in p, so the term of a monomial with
+    a^e is multiplied by N_a^e * D_a^(k_a - e); a monomial without a still
+    takes the whole D_a^k_a.  The sum is built with Poly arithmetic and
+    canonicalized by one make_expr, which cancels the exact gcd of a
+    transcendental-free quotient, so the result is the term-by-term sum.
+    Returns None unless p has no exp part and no generator atom and every
+    mapped value of an atom of p is transcendental-free.
+    """
+    degree = {}
+    for m in p.terms:
+        if m.ep is not None:
+            return None
+        for a, e in m.vars:
+            if a.is_generator:
+                return None
+            if a in mapping and e > degree.get(a, 0):
+                degree[a] = e
+    factors = {}
+    den = POLY_ONE
+    for a, k in degree.items():
+        v = mapping[a]
+        if v.has_transcendentals():
+            return None
+        factors[a] = [v.num.pow(e).mul(v.den.pow(k - e)) for e in range(k + 1)]
+        den = den.mul(factors[a][0])
+    # monomials with equal exponents in the mapped atoms share one product
+    groups = {}
+    for m, c in p.terms.items():
+        key = tuple(m.exponent(a) for a in factors)
+        rest = make_monomial([(a, e) for a, e in m.vars if a not in factors], None)
+        groups.setdefault(key, {})[rest] = c
+    terms = []
+    for key, rest in groups.items():
+        term = Poly(rest)
+        for fs, e in zip(factors.values(), key):
+            term = term.mul(fs[e])
+        terms.extend(term.terms.items())
+    return make_expr(make_poly(terms), den)
 
 
 def _subst_atom(a, mapping, cache):

@@ -110,9 +110,6 @@ class NCPoly:
                     out[w] = prod
         return NCPoly(out)
 
-    def scale(self, c):
-        return NCPoly({w: v * c for w, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, NCPoly) and (self - other).is_zero()
 

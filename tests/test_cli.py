@@ -16,6 +16,9 @@ from lieinv.cli import (
     EXIT_VERIFY,
     main,
 )
+from lieinv.families import make_t0
+from lieinv.io import parse_expr
+from lieinv.normalize import functionally_equivalent
 
 SO3_DOC = "dim 3\n[1,2] = e3\n[1,3] = -e2\n[2,3] = e1\n"
 HEIS_DOC = "dim 3\n[1,2] = e3\n"
@@ -222,6 +225,15 @@ class TestFamily:
             assert code == EXIT_OK
             assert "[ok]" in out and "FAILS" not in out
 
+    def test_t0_seven_run_matches_the_minors(self):
+        code, out, _ = run(["family", "t0", "--n", "7", "--run"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        at = lines.index("# elimination: complete=True count=3 rank=18")
+        printed = [parse_expr(line[4:]) for line in lines[at + 1:at + 4]]
+        inst = make_t0(7)
+        assert functionally_equivalent(printed, inst.expected_invariants, inst.algebra, seed=7)
+
     def test_invalid_block_spec_is_usage_error(self):
         code, _, err = run(["family", "jordan", "--blocks", "jordan,0,1"])
         assert code != EXIT_OK
@@ -285,6 +297,17 @@ class TestDeterminismGoldens:
         a = run(["family", "s4", "--n", "6", "--run"])
         b = run(["family", "s4", "--n", "6", "--run"])
         assert a == b
+
+    @pytest.mark.parametrize("family", [
+        ["t0", "--n", "5"],
+        ["g6_38"],
+        ["jordan", "--blocks", "real,1,1,2;real,1,2,2"],
+    ])
+    def test_family_run_replays_byte_identical_in_process(self, family):
+        argv = ["--format", "json", "--seed", "1", "family"] + family + ["--run"]
+        first = run(argv)
+        assert first[0] == EXIT_OK
+        assert run(argv) == first
 
     def test_golden_invariants_document(self, heis):
         code, out, _ = run(["--format", "json", "invariants", heis])

@@ -264,6 +264,73 @@ class TestSubstituteEvaluate:
         g = substitute(f, {coord_atom(2): EXPR_ZERO})
         assert g.equals(X1)
 
+    def test_substitute_over_common_denominator(self):
+        # 1 and x2^2 lack x1, and 1 and x1 lack x2: each still takes the
+        # whole common denominator x3^2 * (x3 + 1)
+        f = EXPR_ONE + X1 + X2 * X2
+        g = substitute(f, {coord_atom(1): X3 / (X3 + 1), coord_atom(2): EXPR_ONE / X3})
+        assert expr_str(g) == "(2*x3^3 + x3^2 + x3 + 1)/(x3^3 + x3^2)"
+        assert g == EXPR_ONE + X3 / (X3 + 1) + (EXPR_ONE / X3) ** 2
+
+    VARS = (coord_atom(1), coord_atom(2), coord_atom(3), theta_atom(1), param_atom("a"))
+    ATOMS = (X1, X2, X3, T1, param("a"))
+
+    @classmethod
+    def random_poly(cls, rng):
+        """Random polynomial over ATOMS: up to four terms of degree <= 3."""
+        acc = EXPR_ZERO
+        for _ in range(rng.randint(1, 4)):
+            term = rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 3)):
+                term = term * rng.choice(cls.ATOMS)
+            acc = acc + term
+        return acc
+
+    @staticmethod
+    def check_commutes(f, mapping, point, exact_f):
+        """substitute(f, mapping) at point == exact_f at the mapped point.
+
+        Returns False (sample skipped) when the mapped point is singular.
+        """
+        mapped = dict(point)
+        try:
+            mapped.update((a, evaluate(v, point)) for a, v in mapping.items())
+            expected = evaluate(exact_f, mapped)
+        except SingularPoint:
+            return False
+        assert evaluate(substitute(f, mapping), point) == expected, (f, mapping)
+        return True
+
+    def test_substitute_commutes_with_evaluation(self):
+        rng = random.Random(1963)
+        checked = 0
+        for _ in range(60):
+            den = self.random_poly(rng)
+            if den.is_zero():
+                continue
+            f = self.random_poly(rng) / den
+            mapping = {
+                a: random_rational_expr(rng, 2) for a in rng.sample(self.VARS, rng.randint(1, 3))
+            }
+            point = {a: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for a in self.VARS}
+            checked += self.check_commutes(f, mapping, point, f)
+        assert checked >= 40
+
+    def test_substitute_with_exp_part_commutes_with_evaluation(self):
+        # exp(x2 - x3) with x2 -> x3 leaves p + q: the exp part takes the
+        # term-by-term path, and the result can still be evaluated exactly
+        rng = random.Random(1964)
+        checked = 0
+        for _ in range(20):
+            p, q = self.random_poly(rng), self.random_poly(rng)
+            if q.is_zero():
+                continue
+            f = p + q * exp_of(X2 - X3)
+            mapping = {coord_atom(2): X3, coord_atom(1): random_rational_expr(rng, 2)}
+            point = {a: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for a in self.VARS}
+            checked += self.check_commutes(f, mapping, point, p + q)
+        assert checked >= 10
+
 
 class TestStructureQueries:
     def test_atoms_and_dependence(self):
