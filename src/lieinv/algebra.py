@@ -71,15 +71,13 @@ class LieAlgebra:
     def structure_matrix(self):
         """The n x n matrix with (i, j) entry sum_k c_ijk * x_k."""
         n = self.dim
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                acc = EXPR_ZERO
-                for k, c in self.bracket(i, j).items():
-                    acc = acc + c * coord(k)
-                row.append(acc)
-            rows.append(row)
+        rows = [[EXPR_ZERO] * n for _ in range(n)]
+        for (i, j), coeffs in self.brackets.items():
+            acc = EXPR_ZERO
+            for k, c in coeffs.items():
+                acc = acc + c * coord(k)
+            rows[i - 1][j - 1] = acc
+            rows[j - 1][i - 1] = -acc
         return Matrix(rows)
 
     def coadjoint_fields(self):

@@ -34,7 +34,7 @@ from .algebra import (
     rank_coadjoint,
     validate,
 )
-from .expr import KernelError, expr_str
+from .expr import KernelError, atom_str, expr_str
 from .families import (
     make_g6_38,
     make_jordan,
@@ -47,7 +47,7 @@ from .families import (
 from .frame import RecipeNeeded, lifted_invariants
 from .io import ParseError, expr_latex, parse_expr, load_algebra, render_algebra
 from .normalize import eliminate, rescale_to_polynomial
-from .verify import check_invariant, is_central, symmetrize
+from .verify import check_invariant, is_central
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -229,6 +229,7 @@ def cmd_verify(args):
     fmt = _fmt(args)
     try:
         f = parse_expr(args.expr)
+        _check_coordinates(f, g.dim)
     except ParseError as err:
         print("expression error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
@@ -252,7 +253,7 @@ def cmd_verify(args):
     central = None
     if args.central:
         try:
-            central = is_central(g, symmetrize(f), degree_bound=args.degree_bound)
+            central = is_central(g, f, degree_bound=args.degree_bound)
         except KernelError as err:
             lines.append("centrality check unavailable: %s" % err)
         else:
@@ -263,6 +264,17 @@ def cmd_verify(args):
     if not chk.ok or central is False:
         return EXIT_VERIFY
     return EXIT_OK
+
+
+def _check_coordinates(f, dim):
+    """Reject frame parameters th_k and coordinates x_k outside 1..dim."""
+    foreign = sorted(
+        (a for a in f.atoms() if a.head == "th" or (a.head == "x" and not 1 <= a.data <= dim)),
+        key=lambda a: (a.head, a.data),
+    )
+    if foreign:
+        raise ParseError("not a coordinate of the %d-dimensional algebra: %s"
+                         % (dim, ", ".join(map(atom_str, foreign))))
 
 
 def _parse_blocks(text):

@@ -1288,6 +1288,10 @@ def differentiate(f, atom):
 
 
 def _diff_poly(p, atom):
+    if not p.has_transcendentals():
+        # power rule term by term; distinct monomials keep distinct quotients
+        return Expr(Poly({m.without(atom, 1): c * e
+                          for m, c in p.terms.items() if (e := m.exponent(atom))}), POLY_ONE)
     acc = EXPR_ZERO
     for m, c in p.terms.items():
         acc = acc + rational(c) * _diff_monomial(m, atom)

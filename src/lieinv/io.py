@@ -285,8 +285,11 @@ def _parse_bracket_rhs(text, dim):
     basis_atoms = {k: param_atom("_basis%d" % k) for k in range(1, dim + 1)}
     if any(a in basis_atoms.values() for a in f.den.atoms()):
         raise ParseError("basis symbols may not appear in a denominator")
+    present = f.atoms()
     vec = {}
     for k, a in basis_atoms.items():
+        if a not in present:
+            continue
         c = differentiate(f, a)
         if any(b in basis_atoms.values() for b in c.atoms()):
             raise ParseError("bracket right-hand side must be linear in e1..e%d" % dim)

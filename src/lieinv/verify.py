@@ -12,16 +12,16 @@ e_a e_b - e_b e_a = [e_a, e_b].
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
     EXPR_ZERO,
+    POLY_ONE,
+    Expr,
     KernelError,
+    _diff_poly,
     coord_atom,
-    differentiate,
     from_atom,
     rational,
 )
@@ -37,19 +37,34 @@ class InvariantCheck:
 
 
 def check_invariant(g, f):
-    """Exact residuals of the annihilation system applied to f."""
-    n = g.dim
-    grads = [differentiate(f, coord_atom(j)) for j in range(1, n + 1)]
+    """Exact residuals of the annihilation system applied to f = P/Q.
+
+    With X_i = sum_j F_ij d/dx_j, the residual X_i(f) is
+    (Q*X_i(P) - P*X_i(Q)) / Q^2: the numerator is built from the two
+    polynomial gradients and divided only when it is not zero.
+    """
     fields = g.coadjoint_fields()
+    xs = [coord_atom(j) for j in range(1, g.dim + 1)]
+    num, den = Expr(f.num, POLY_ONE), Expr(f.den, POLY_ONE)
+    grad_num = [_diff_poly(f.num, x) for x in xs]
+    grad_den = None if f.den.is_one else [_diff_poly(f.den, x) for x in xs]
     residuals = []
-    for i in range(n):
-        acc = EXPR_ZERO
-        for j in range(n):
-            if fields[i][j].is_zero():
-                continue
-            acc = acc + fields[i][j] * grads[j]
-        residuals.append(acc)
+    for row in fields:
+        r = _apply_field(row, grad_num)
+        if grad_den is not None:
+            r = den * r - num * _apply_field(row, grad_den)
+            if not r.is_zero():
+                r = r / (den * den)
+        residuals.append(r)
     return InvariantCheck(all(r.is_zero() for r in residuals), residuals)
+
+
+def _apply_field(row, grad):
+    acc = EXPR_ZERO
+    for c, d in zip(row, grad):
+        if not c.is_zero() and not d.is_zero():
+            acc = acc + c * d
+    return acc
 
 
 def check_all(g, exprs):
@@ -73,12 +88,6 @@ class NCPoly:
                 cleaned[tuple(word)] = c
         self.terms = cleaned
 
-    @classmethod
-    def generator(cls, i):
-        from .expr import EXPR_ONE
-
-        return cls({(i,): EXPR_ONE})
-
     def is_zero(self):
         return not self.terms
 
@@ -98,18 +107,6 @@ class NCPoly:
             out[w] = out.get(w, EXPR_ZERO) - c
         return NCPoly(out)
 
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                prod = c1 * c2
-                if w in out:
-                    out[w] = out[w] + prod
-                else:
-                    out[w] = prod
-        return NCPoly(out)
-
     def __eq__(self, other):
         return isinstance(other, NCPoly) and (self - other).is_zero()
 
@@ -122,11 +119,11 @@ class NCPoly:
         return "NCPoly(%s)" % ", ".join(bits)
 
 
-def symmetrize(f):
-    """Image of a coordinate polynomial under the symmetrization map."""
+def _letter_terms(f):
+    """Validate f as a coordinate polynomial; map each sorted letter tuple to its coefficient."""
     if not f.den.is_one:
         raise KernelError("symmetrization needs a polynomial, got a quotient")
-    acc = {}
+    out = {}
     for m, c in f.num.terms.items():
         if m.ep is not None:
             raise KernelError("symmetrization needs a polynomial expression")
@@ -141,54 +138,112 @@ def symmetrize(f):
                 raise KernelError(
                     "symmetrization needs a coordinate polynomial, found %r" % a.head
                 )
-        r = len(letters)
-        if r == 0:
-            word = ()
-            acc[word] = acc.get(word, EXPR_ZERO) + coeff
-            continue
-        scale = coeff * rational(Fraction(1, math.factorial(r)))
-        for perm in itertools.permutations(letters):
-            acc[perm] = acc.get(perm, EXPR_ZERO) + scale
-    return NCPoly(acc)
+        key = tuple(sorted(letters))
+        out[key] = out[key] + coeff if key in out else coeff
+    return out
+
+
+def _symmetrize_letters(letter_terms):
+    terms = {}
+    for letters, coeff in letter_terms.items():
+        words = {()}
+        for a in letters:
+            words = {w[:t] + (a,) + w[t:] for w in words for t in range(len(w) + 1)}
+        terms.update(dict.fromkeys(words, coeff * rational(Fraction(1, len(words)))))
+    return NCPoly(terms)
+
+
+def symmetrize(f):
+    """Image of a coordinate polynomial under the symmetrization map.
+
+    Monomials with the same letters (differing only in parameters) are
+    summed first; the coefficient is then shared equally among the
+    distinct orderings of the letters, r!/prod(m_i!) of them for letter
+    multiplicities m_i.
+    """
+    return _symmetrize_letters(_letter_terms(f))
+
+
+def _relations(g, coeffs):
+    """Coefficient conversion, zero and the table of [e_a, e_b] for a > b.
+
+    Coefficients are Fractions when the given coefficients and every
+    structure constant are rational, and Exprs otherwise.
+    """
+    structure = [c for row in g.brackets.values() for c in row.values()]
+    if all(c.is_rational() for c in coeffs) and all(c.is_rational() for c in structure):
+        conv, zero = Expr.as_fraction, Fraction(0)
+    else:
+        conv, zero = (lambda c: c), EXPR_ZERO
+    table = {(j, i): [(k, -conv(c)) for k, c in row.items()] for (i, j), row in g.brackets.items()}
+    return conv, zero, table
+
+
+def _inversions(word):
+    return sum(a > b for t, a in enumerate(word) for b in word[t + 1:])
+
+
+def _straighten(work, table, zero):
+    """Normal-order a dict word -> coefficient into non-decreasing words.
+
+    Pending words are bucketed by (length, inversions).  A swap lowers the
+    inversions by one and a bracket term lowers the length, so processing
+    the largest bucket first merges every contribution to a word before
+    that word is rewritten.
+    """
+    levels = {}
+
+    def put(word, c):
+        key = (len(word), _inversions(word))
+        bucket = levels.setdefault(key, {})
+        bucket[word] = bucket[word] + c if word in bucket else c
+
+    for word, c in work.items():
+        put(word, c)
+    result = {}
+    while levels:
+        key = max(levels)
+        for word, c in levels.pop(key).items():
+            if c == zero:
+                continue
+            if key[1] == 0:
+                result[word] = c
+                continue
+            pos = next(t for t in range(len(word) - 1) if word[t] > word[t + 1])
+            a, b = word[pos], word[pos + 1]
+            head, tail = word[:pos], word[pos + 2:]
+            put(head + (b, a) + tail, c)
+            for k, ck in table.get((a, b), ()):
+                put(head + (k,) + tail, c * ck)
+    return result
 
 
 def pbw_normal_form(p, g):
     """Rewrite into the basis of non-decreasing words using the relations."""
-    result = {}
-    work = list(p.terms.items())
-    while work:
-        word, coeff = work.pop()
-        if coeff.is_zero():
-            continue
-        pos = -1
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                pos = t
-                break
-        if pos < 0:
-            if word in result:
-                result[word] = result[word] + coeff
-            else:
-                result[word] = coeff
-            continue
-        a, b = word[pos], word[pos + 1]
-        work.append((word[:pos] + (b, a) + word[pos + 2 :], coeff))
-        for k, ck in g.bracket(a, b).items():
-            if not ck.is_zero():
-                work.append((word[:pos] + (k,) + word[pos + 2 :], coeff * ck))
-    return NCPoly(result)
+    conv, zero, table = _relations(g, p.terms.values())
+    nf = _straighten({w: conv(c) for w, c in p.terms.items()}, table, zero)
+    return NCPoly({w: c if zero is EXPR_ZERO else rational(c) for w, c in nf.items()})
 
 
 def is_central(g, f, degree_bound=6):
-    """True when the (symmetrized) element commutes with every generator."""
-    p = f if isinstance(f, NCPoly) else symmetrize(f)
-    if p.degree > degree_bound:
-        raise KernelError(
-            "degree %d exceeds the centrality bound %d" % (p.degree, degree_bound)
-        )
+    """True when the (symmetrized) element commutes with every generator.
+
+    f is an NCPoly or a coordinate polynomial; the latter is validated and
+    its degree checked against the bound before it is symmetrized.
+    """
+    letter_terms = None if isinstance(f, NCPoly) else _letter_terms(f)
+    degree = f.degree if letter_terms is None else max(map(len, letter_terms), default=0)
+    if degree > degree_bound:
+        raise KernelError("degree %d exceeds the centrality bound %d" % (degree, degree_bound))
+    p = f if letter_terms is None else _symmetrize_letters(letter_terms)
+    conv, zero, table = _relations(g, p.terms.values())
+    # normal-order p once; [e_i, p] is then straightened from its sorted words
+    nf = _straighten({w: conv(c) for w, c in p.terms.items()}, table, zero)
     for i in range(1, g.dim + 1):
-        ei = NCPoly.generator(i)
-        comm = pbw_normal_form(ei * p - p * ei, g)
-        if not comm.is_zero():
+        comm = {}
+        for w, c in nf.items():
+            for word, s in (((i,) + w, c), (w + (i,), -c)):
+                comm[word] = comm[word] + s if word in comm else s
+        if _straighten(comm, table, zero):
             return False
     return True

@@ -16,8 +16,9 @@ from lieinv.cli import (
     EXIT_VERIFY,
     main,
 )
-from lieinv.families import make_t0
-from lieinv.io import parse_expr
+from lieinv.expr import expr_str
+from lieinv.families import make_jordan, make_t0
+from lieinv.io import parse_expr, render_algebra
 from lieinv.normalize import functionally_equivalent
 
 SO3_DOC = "dim 3\n[1,2] = e3\n[1,3] = -e2\n[2,3] = e1\n"
@@ -178,6 +179,54 @@ class TestVerify:
         code, _, err = run(["verify", heis, "--expr", "x1 +"])
         assert code == EXIT_USAGE
         assert "expression error" in err
+
+    @pytest.mark.parametrize("text", ["x3 + x4", "x0", "th1", "atan(x5)"])
+    def test_foreign_atoms_are_usage_errors(self, heis, text):
+        code, out, err = run(["verify", heis, "--expr", text, "--central"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("expression error: not a coordinate of the 3-dimensional algebra: ")
+
+    def test_foreign_atoms_are_listed(self, heis):
+        code, _, err = run(["verify", heis, "--expr", "x1*th2 + x9 + x0"])
+        assert code == EXIT_USAGE
+        assert err == (
+            "expression error: not a coordinate of the 3-dimensional algebra: th2, x0, x9\n"
+        )
+
+
+class TestCentralityBound:
+    """The degree bound is checked after validation and before symmetrizing."""
+
+    J0 = make_jordan([("jordan", 0, 9)], name="J0(10)")
+    DOC = render_algebra(J0.algebra)
+    DEGREE_EIGHT = expr_str(J0.expected_invariants[7])
+
+    def verify(self, text, *options):
+        return run([*options, "verify", "-", "--expr", text, "--central"], stdin=self.DOC)
+
+    def test_degree_eight_exceeds_default_bound(self):
+        code, out, _ = self.verify(self.DEGREE_EIGHT)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            "centrality check unavailable: degree 8 exceeds the centrality bound 6"
+        )
+
+    def test_degree_eight_central_under_raised_bound(self):
+        code, out, _ = self.verify(self.DEGREE_EIGHT, "--degree-bound", "8")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "symmetrized element central (degree <= 8): True"
+
+    def test_validation_precedes_the_bound(self):
+        _, out, _ = self.verify("atan(x1)*x3^8")
+        assert out.splitlines()[-1] == (
+            "centrality check unavailable: "
+            "symmetrization needs a coordinate polynomial, found 'atan'"
+        )
+        _, out, _ = self.verify("x3^9/x1")
+        assert out.splitlines()[-1] == (
+            "centrality check unavailable: symmetrization needs a polynomial, got a quotient"
+        )
 
 
 class TestFamily:

@@ -18,6 +18,7 @@ from lieinv.expr import (
     evaluate,
     exp_of,
     expr_str,
+    from_atom,
     log_of,
     param,
     param_atom,
@@ -29,7 +30,7 @@ from lieinv.expr import (
     theta,
     theta_atom,
 )
-from lieinv.expr import _PROBE_PRIME, _gcd_is_constant
+from lieinv.expr import _PROBE_PRIME, _diff_monomial, _diff_poly, _gcd_is_constant
 
 X1, X2, X3 = coord(1), coord(2), coord(3)
 T1 = theta(1)
@@ -229,6 +230,24 @@ class TestCalculus:
         f = param("a") * X1
         assert differentiate(f, param_atom("a")).equals(X1)
         assert differentiate(f, coord_atom(1)).equals(param("a"))
+
+    def test_polynomial_power_rule_matches_monomial_rule(self):
+        # a transcendental-free polynomial is differentiated by the power
+        # rule; it must give the canonical sum of the monomial derivatives
+        rng = random.Random(29)
+        atoms = [coord_atom(1), coord_atom(2), theta_atom(1), param_atom("a")]
+        for _ in range(40):
+            f = rational(0)
+            for _ in range(rng.randint(1, 6)):
+                term = rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                for a in atoms:
+                    term = term * from_atom(a) ** rng.randint(0, 3)
+                f = f + term
+            for a in atoms:
+                reference = EXPR_ZERO
+                for m, c in f.num.terms.items():
+                    reference = reference + rational(c) * _diff_monomial(m, a)
+                assert _diff_poly(f.num, a) == reference
 
 
 class TestSubstituteEvaluate:

@@ -1,5 +1,7 @@
 """Independent verification: coadjoint annihilation and enveloping-algebra centrality."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +17,17 @@ from lieinv import (
     rational,
     symmetrize,
 )
-from lieinv.expr import KernelError, atan_of, exp_of, expr_str
-from lieinv.families import builtin_instances, make_jordan, make_t0
+from lieinv.expr import (
+    EXPR_ZERO,
+    KernelError,
+    coord_atom,
+    differentiate,
+    exp_of,
+    expr_str,
+    from_atom,
+    param,
+)
+from lieinv.families import builtin_instances, make_g6_38, make_jordan, make_t0
 from lieinv.verify import NCPoly
 
 
@@ -183,3 +194,144 @@ class TestCheckInvariant:
             f, g = rng.sample(inst.expected_invariants, 2)
             combo = f * g + f
             assert check_invariant(inst.algebra, combo).ok
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the straightforward algorithms
+
+
+def reference_symmetrize(f):
+    """Average over all r! orderings of every monomial's letters."""
+    if not f.den.is_one:
+        raise KernelError("symmetrization needs a polynomial, got a quotient")
+    acc = {}
+    for m, c in f.num.terms.items():
+        if m.ep is not None:
+            raise KernelError("symmetrization needs a polynomial expression")
+        letters = []
+        coeff = rational(c)
+        for a, e in m.vars:
+            if a.head == "x":
+                letters.extend([a.data] * e)
+            elif a.head == "p":
+                coeff = coeff * from_atom(a) ** e
+            else:
+                raise KernelError(
+                    "symmetrization needs a coordinate polynomial, found %r" % a.head
+                )
+        scale = coeff * rational(Fraction(1, math.factorial(len(letters))))
+        for perm in itertools.permutations(letters):
+            acc[perm] = acc.get(perm, EXPR_ZERO) + scale
+    return NCPoly(acc)
+
+
+def reference_pbw_normal_form(p, g):
+    """Rewrite the first descent of one pending word at a time, never merging."""
+    result = {}
+    work = list(p.terms.items())
+    while work:
+        word, coeff = work.pop()
+        if coeff.is_zero():
+            continue
+        pos = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), -1)
+        if pos < 0:
+            result[word] = result[word] + coeff if word in result else coeff
+            continue
+        a, b = word[pos], word[pos + 1]
+        work.append((word[:pos] + (b, a) + word[pos + 2:], coeff))
+        for k, ck in g.bracket(a, b).items():
+            work.append((word[:pos] + (k,) + word[pos + 2:], coeff * ck))
+    return NCPoly(result)
+
+
+def reference_is_central(g, f):
+    p = reference_symmetrize(f)
+    for i in range(1, g.dim + 1):
+        left = NCPoly({(i,) + w: c for w, c in p.terms.items()})
+        right = NCPoly({w + (i,): c for w, c in p.terms.items()})
+        if not reference_pbw_normal_form(left - right, g).is_zero():
+            return False
+    return True
+
+
+def reference_residuals(g, f):
+    """sum_j (sum_k c_ijk x_k) df/dx_j with every gradient by the quotient rule."""
+    n = g.dim
+    grads = [differentiate(f, coord_atom(j)) for j in range(1, n + 1)]
+    out = []
+    for i in range(1, n + 1):
+        acc = EXPR_ZERO
+        for j in range(1, n + 1):
+            field = EXPR_ZERO
+            for k, c in g.bracket(i, j).items():
+                field = field + c * coord(k)
+            if not field.is_zero():
+                acc = acc + field * grads[j - 1]
+        out.append(expr_str(acc))
+    return out
+
+
+def non_central_coordinates(g):
+    return [
+        j for j in range(1, g.dim + 1)
+        if any(g.bracket(i, j) for i in range(1, g.dim + 1))
+    ]
+
+
+def symmetrize_outcome(symmetrizer, f):
+    try:
+        return symmetrizer(f).terms
+    except KernelError as err:
+        return str(err)
+
+
+class TestAgainstReference:
+    def test_residuals_of_every_builtin_invariant(self):
+        rng = random.Random(5)
+        for inst in builtin_instances():
+            g = inst.algebra
+            js = non_central_coordinates(g)
+            for f in inst.expected_invariants:
+                for h in (f, f + coord(rng.choice(js))):
+                    got = [expr_str(r) for r in check_invariant(g, h).residuals]
+                    assert got == reference_residuals(g, h), (g.name, expr_str(h))
+
+    def test_symmetrize_and_centrality_of_every_builtin_invariant(self):
+        rng = random.Random(6)
+        for inst in builtin_instances():
+            g = inst.algebra
+            js = non_central_coordinates(g)
+            for f in inst.expected_invariants:
+                for h in (f, f + coord(rng.choice(js))):
+                    got = symmetrize_outcome(symmetrize, h)
+                    assert got == symmetrize_outcome(reference_symmetrize, h), (
+                        g.name, expr_str(h))
+                    if isinstance(got, str):
+                        continue
+                    p = symmetrize(h)
+                    assert pbw_normal_form(p, g).terms == reference_pbw_normal_form(p, g).terms
+                    assert is_central(g, h) == reference_is_central(g, h), (
+                        g.name, expr_str(h))
+
+    @pytest.mark.parametrize(
+        "inst", [make_t0(5), make_g6_38()], ids=["t0(5)", "g6_38(a)"]
+    )
+    def test_normal_form_of_random_words(self, inst):
+        # g6_38 with a formal parameter exercises the Expr coefficient path
+        g = inst.algebra
+        rng = random.Random(17)
+        scalars = [rational(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(4)]
+        if g.params:
+            scalars += [param(g.params[0]), param(g.params[0]) * rational(-2) + rational(1)]
+        for _ in range(25):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                word = tuple(rng.randint(1, g.dim) for _ in range(rng.randint(1, 5)))
+                terms[word] = terms.get(word, EXPR_ZERO) + rng.choice(scalars)
+            p = NCPoly(terms)
+            assert pbw_normal_form(p, g).terms == reference_pbw_normal_form(p, g).terms
+
+    def test_symmetrize_with_parameter_coefficients(self):
+        a = param("a")
+        f = a * coord(1) ** 2 * coord(2) + coord(1) ** 2 * coord(2) - a * coord(3) ** 3
+        assert symmetrize(f).terms == reference_symmetrize(f).terms
