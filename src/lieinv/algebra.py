@@ -51,11 +51,14 @@ class LieAlgebra:
         return "LieAlgebra(%r, dim=%d)" % (self.name, self.dim)
 
     def bracket(self, i, j):
-        """Coefficients of [e_i, e_j] as a dict k -> Expr (any index order)."""
+        """Coefficients of [e_i, e_j] as a dict k -> Expr (any index order).
+
+        For i < j this is the stored mapping itself; callers must not mutate it.
+        """
         if i == j:
             return {}
         if i < j:
-            return dict(self.brackets.get((i, j), {}))
+            return self.brackets.get((i, j), {})
         flipped = self.brackets.get((j, i), {})
         return {k: -c for k, c in flipped.items()}
 

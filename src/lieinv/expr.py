@@ -35,7 +35,6 @@ produces, where arguments are canonicalized before atoms are compared.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction

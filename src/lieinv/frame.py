@@ -212,16 +212,14 @@ class MovingFrame:
         return exp_of(total)
 
 
-def build_frame(g, signs=None, order=None):
-    """Construct the frame for an algebra.
+def build_frame(g, signs=None):
+    """Construct the frame for an algebra, one factor per generator 1..n.
 
-    signs: optional dict index -> +1/-1 (default +1); order: generator index
-    order (default 1..n).
+    signs: optional dict index -> +1/-1 (default +1).
     """
     signs = signs or {}
-    order = order or range(1, g.dim + 1)
     factors = []
-    for i in order:
+    for i in range(1, g.dim + 1):
         ad = g.ad_matrix(i)
         if ad.is_zero():
             continue
@@ -257,10 +255,8 @@ class LiftedSet:
         return list(self._exprs)
 
 
-def lifted_invariants(g, signs=None, order=None, frame=None):
-    if frame is None:
-        frame = build_frame(g, signs=signs, order=order)
-    return LiftedSet(frame)
+def lifted_invariants(g, signs=None):
+    return LiftedSet(build_frame(g, signs=signs))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,16 @@ The algebra document is line oriented (semicolons also separate statements):
     param a
     [1,2] = e3
 
-Bracket lines list [i,j] with i < j (1-based); right-hand sides are linear
-in the basis symbols e1, e2, ... with rational or parameter coefficients.
+Bracket lines list [i,j] with i < j (1-based).  A right-hand side is a
+linear form in the basis symbols e1..en: every term of its numerator holds
+exactly one of them, to the first power, and its denominator holds none.
+The coefficient of each e_k must be a rational function of the declared
+parameters; a coordinate x_k, a frame parameter th_k, an undeclared name or
+a transcendental such as exp(1) is a ParseError.  Parameter names of the
+form e<k>, x<k> or th<k> are reserved, because expressions read them as
+basis symbols, coordinates or frame parameters.  The JSON format is checked
+the same way, and both formats end in the same Jacobi validation.
+
 Expressions use the same syntax the library prints: x1, th2, parameter
 names, exp/log/atan/cos/sin calls, ^ for powers, and / for quotients.
 """
@@ -22,20 +30,18 @@ from fractions import Fraction
 
 from .algebra import StructureError, lie_algebra, validate
 from .expr import (
-    EXPR_ZERO,
     KernelError,
+    Poly,
     atan_of,
     coord,
     cos_of,
-    differentiate,
     exp_of,
     expr_str,
     log_of,
+    make_expr,
     param,
-    param_atom,
     rational,
     sin_of,
-    substitute,
     theta,
 )
 
@@ -86,11 +92,10 @@ def _tokenize(text):
 
 
 class _ExprParser:
-    def __init__(self, text, symbols=None):
+    def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
-        self.symbols = symbols or {}
 
     def peek(self):
         return self.tokens[self.k]
@@ -176,8 +181,6 @@ class _ExprParser:
                     return _FUNCTIONS[val](arg)
                 except KernelError as err:
                     raise ParseError("%s at position %d" % (err, pos))
-            if val in self.symbols:
-                return self.symbols[val]
             m = _COORD.match(val)
             if m:
                 return coord(int(m.group(1)))
@@ -188,10 +191,10 @@ class _ExprParser:
         raise ParseError("unexpected token at position %d in %r" % (pos, self.text))
 
 
-def parse_expr(text, symbols=None):
+def parse_expr(text):
     """Parse an expression in the syntax the library prints."""
     try:
-        return _ExprParser(text, symbols).parse()
+        return _ExprParser(text).parse()
     except KernelError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -200,6 +203,9 @@ def parse_expr(text, symbols=None):
 # algebra documents
 
 _BRACKET_LINE = re.compile(r"^\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.*)$")
+_PARAM_NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_RESERVED = re.compile(r"^(e|x|th)[0-9]+$")
+_BASIS = re.compile(r"^e([1-9][0-9]*)$")
 
 
 def _statements(text):
@@ -216,7 +222,7 @@ def parse_algebra(text):
     dim = None
     name = None
     params = []
-    entries = {}
+    rows = {}
     for lineno, stmt in _statements(text):
         low = stmt.split(None, 1)
         head = low[0]
@@ -236,12 +242,11 @@ def parse_algebra(text):
         elif head == "param":
             if len(low) < 2:
                 raise ParseError("line %d: malformed param statement" % lineno)
-            for nm in low[1].replace(",", " ").split():
-                if not re.match(r"^[A-Za-z_][A-Za-z_0-9]*$", nm):
-                    raise ParseError("line %d: bad parameter name %r" % (lineno, nm))
-                if nm in params:
-                    raise ParseError("line %d: duplicate parameter %r" % (lineno, nm))
-                params.append(nm)
+            params.extend(low[1].replace(",", " ").split())
+            try:
+                _check_params(params)
+            except ParseError as err:
+                raise ParseError("line %d: %s" % (lineno, err))
         elif stmt.startswith("["):
             if dim is None:
                 raise ParseError("line %d: bracket before dim statement" % lineno)
@@ -258,49 +263,86 @@ def parse_algebra(text):
                 )
             if i > j:
                 raise ParseError("line %d: list brackets with i < j only" % lineno)
-            if (i, j) in entries:
+            if (i, j) in rows:
                 raise ParseError("line %d: duplicate bracket [%d,%d]" % (lineno, i, j))
-            try:
-                vec = _parse_bracket_rhs(m.group(3), dim)
-            except ParseError as err:
-                raise ParseError("line %d: %s" % (lineno, err))
-            entries[(i, j)] = vec
+            rows[(i, j)] = (lineno, m.group(3))
         else:
             raise ParseError("line %d: unknown statement %r" % (lineno, stmt))
     if dim is None:
         raise ParseError("missing dim statement")
+    # parameters may be declared after the brackets that use them
+    entries = {}
+    for key, (lineno, rhs) in rows.items():
+        try:
+            entries[key] = _check_scalars(_linear_form(rhs, dim), dim, params)
+        except ParseError as err:
+            raise ParseError("line %d: %s" % (lineno, err))
+    return _validated(dim, entries, params, name)
+
+
+def _e_index(atom):
+    """k when the atom is the basis symbol e_k (read as a parameter), else 0."""
+    m = _BASIS.match(atom.data) if atom.head == "p" else None
+    return int(m.group(1)) if m else 0
+
+
+def _linear_form(text, dim):
+    """Read a bracket right-hand side as {k: coefficient of e_k}."""
+    f = parse_expr(text)
+    if any(_e_index(a) for a in f.den.atoms()):
+        raise ParseError("basis symbols may not appear in a denominator")
+    parts = {}
+    for m, c in f.num.terms.items():
+        basis = [(a, e) for a, e in m.vars if _e_index(a)]
+        if len(basis) != 1 or basis[0][1] != 1:
+            raise ParseError("bracket right-hand side must be linear in e1..e%d" % dim)
+        a = basis[0][0]
+        parts.setdefault(_e_index(a), {})[m.without(a, 1)] = c
+    return {k: make_expr(Poly(parts[k]), f.den) for k in sorted(parts)}
+
+
+def _check_params(names):
+    """Raise ParseError on a malformed, reserved or repeated parameter name."""
+    seen = set()
+    for nm in names:
+        if not isinstance(nm, str) or not _PARAM_NAME.match(nm):
+            raise ParseError("bad parameter name %r" % (nm,))
+        if _RESERVED.match(nm):
+            raise ParseError(
+                "parameter name %r is reserved for basis symbols, coordinates "
+                "and frame parameters" % nm
+            )
+        if nm in seen:
+            raise ParseError("duplicate parameter %r" % nm)
+        seen.add(nm)
+
+
+def _check_scalars(vec, dim, params):
+    """Return vec after checking that it maps e1..e<dim> to scalars.
+
+    A scalar is a rational function of the declared parameters.
+    """
+    for k, c in vec.items():
+        if not 1 <= k <= dim:
+            raise ParseError(
+                "e%d is not a basis symbol of the %d-dimensional algebra" % (k, dim)
+            )
+        if c.has_transcendentals() or any(
+            a.head != "p" or a.data not in params for a in c.atoms()
+        ):
+            raise ParseError(
+                "coefficient %s of e%d is not a rational function of the "
+                "declared parameters" % (expr_str(c), k)
+            )
+    return vec
+
+
+def _validated(dim, entries, params, name):
     g = lie_algebra(dim, entries, params=tuple(params), name=name)
     problems = validate(g)
     if problems:
         raise StructureError("; ".join(problems))
     return g
-
-
-def _parse_bracket_rhs(text, dim):
-    """Parse a bracket right-hand side, linear in the basis symbols e1..en."""
-    if text.strip() == "0":
-        return {}
-    symbols = {"e%d" % k: param("_basis%d" % k) for k in range(1, dim + 1)}
-    f = parse_expr(text, symbols)
-    basis_atoms = {k: param_atom("_basis%d" % k) for k in range(1, dim + 1)}
-    if any(a in basis_atoms.values() for a in f.den.atoms()):
-        raise ParseError("basis symbols may not appear in a denominator")
-    present = f.atoms()
-    vec = {}
-    for k, a in basis_atoms.items():
-        if a not in present:
-            continue
-        c = differentiate(f, a)
-        if any(b in basis_atoms.values() for b in c.atoms()):
-            raise ParseError("bracket right-hand side must be linear in e1..e%d" % dim)
-        if not c.is_zero():
-            vec[k] = c
-    rebuilt = EXPR_ZERO
-    for k, c in vec.items():
-        rebuilt = rebuilt + c * param("_basis%d" % k)
-    if not (f - rebuilt).is_zero():
-        raise ParseError("bracket right-hand side must be linear in e1..e%d" % dim)
-    return vec
 
 
 def _coeff_term(c, k):
@@ -357,19 +399,13 @@ def algebra_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     dim = data["dim"]
+    params = tuple(data.get("params", ()))
+    _check_params(params)
     entries = {}
     for i, j, terms in data.get("brackets", []):
-        entries[(i, j)] = {k: parse_expr(s) for k, s in terms}
-    g = lie_algebra(
-        dim,
-        entries,
-        params=tuple(data.get("params", ())),
-        name=data.get("name"),
-    )
-    problems = validate(g)
-    if problems:
-        raise StructureError("; ".join(problems))
-    return g
+        vec = {k: parse_expr(s) for k, s in terms}
+        entries[(i, j)] = _check_scalars(vec, dim, params)
+    return _validated(dim, entries, params, data.get("name"))
 
 
 def load_algebra(text):

@@ -32,11 +32,12 @@ annihilation system before they are returned.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import sample_fraction
 from .expr import (
-    EXPR_ZERO,
     Expr,
     KernelError,
     Poly,
@@ -53,6 +54,7 @@ from .expr import (
     substitute,
 )
 from .linalg import rank_exprs
+from .verify import check_invariant
 
 
 @dataclass
@@ -237,44 +239,12 @@ def _try_exp_unknown(f, th, label, others):
         return None
     try:
         sol = numer * exp_of(-w_rest) / v_expr
-        log_sol = log_of(sol)
+        th_sol = log_of(sol) / c0
     except KernelError:
         return None
     record = PivotRecord("exp", th, label, 1, sol, [v_expr, numer])
-    return record, lambda h: _substitute_exp_direction(h, th, c0, log_sol)
-
-
-def _substitute_exp_direction(h, th, c0, log_sol):
-    """Rewrite every exp(c'*th + rest) in h as exp((c'/c0)*log_sol + rest)."""
-    if not h.depends_on(th):
-        return h
-    th_expr = from_atom(th)
-    num = _subst_dir_poly(h.num, th, c0, log_sol, th_expr)
-    den = _subst_dir_poly(h.den, th, c0, log_sol, th_expr)
-    return num / den
-
-
-def _subst_dir_poly(p, th, c0, log_sol, th_expr):
-    acc = EXPR_ZERO
-    for m, c in p.terms.items():
-        term = rational(c)
-        for a, e in m.vars:
-            if a == th:
-                raise KernelError("explicit parameter inside exponential pivot")
-            term = term * from_atom(a) ** e
-        if m.ep is not None:
-            base = m.ep.base
-            cp = _linear_coefficient(base, th)
-            if cp is None:
-                raise KernelError("nonlinear exponential base in pivot")
-            w = base - cp * th_expr
-            for g, cc in m.ep.terms:
-                w = w + cc * from_atom(g)
-            if not cp.is_zero():
-                w = w + (cp / c0) * log_sol
-            term = term * exp_of(w)
-        acc = acc + term
-    return acc
+    # exp(c'*th + rest) becomes exp((c'/c0)*log(sol) + rest)
+    return record, lambda h: substitute(h, {th: th_sol})
 
 
 def _try_exp_log(f, th, label, others):
@@ -394,8 +364,6 @@ def _rotate_followers(out, trig, used, ei, ej, r2):
 
 def eliminate(lifted):
     """Run the normalization and return the invariants with a full trace."""
-    from .verify import check_invariant
-
     exprs = lifted.exprs()
     active = [(str(i + 1), f) for i, f in enumerate(exprs)]
     pivots = []
@@ -488,21 +456,15 @@ def eliminate(lifted):
 # utilities on invariant lists
 
 
-def rescale_to_polynomial(exprs, scaler=None, max_power=12):
-    """Clear denominators by multiplying with powers of an invariant scaler.
+def rescale_to_polynomial(exprs):
+    """Clear denominators by multiplying with powers of a fellow invariant.
 
-    When no scaler is given, the polynomial transcendental-free members of
-    exprs themselves are tried; multiplying by powers of a fellow invariant
-    keeps invariance.  Returns (rescaled list, notes).  Entries that cannot
-    be cleared within max_power multiplications are returned unchanged with
-    a note.
+    The polynomial transcendental-free members of exprs are the candidate
+    factors; multiplying by powers of a fellow invariant keeps invariance.
+    Returns (rescaled list, notes).  Entries that cannot be cleared within
+    12 multiplications are returned unchanged with a note.
     """
-    if scaler is not None:
-        candidates = [scaler]
-    else:
-        candidates = [
-            f for f in exprs if f.den.is_one and not f.has_transcendentals()
-        ]
+    candidates = [f for f in exprs if f.den.is_one and not f.has_transcendentals()]
     out = []
     notes = []
     for f in exprs:
@@ -512,7 +474,7 @@ def rescale_to_polynomial(exprs, scaler=None, max_power=12):
         cleared = None
         for s in candidates:
             cand = f
-            for _ in range(max_power):
+            for _ in range(12):
                 if cand.den.is_one:
                     cleared = cand
                     break
@@ -537,10 +499,6 @@ def functionally_equivalent(first, second, g, seed=0, trials=6, param_point=None
     Jacobians and of their union; equality of generic ranks in all three
     positions over the sampled points decides the answer.
     """
-    import random
-
-    from .algebra import sample_fraction
-
     rng = random.Random(seed)
     n = g.dim
     subs = {}

@@ -73,6 +73,14 @@ class TestValidate:
         assert code == EXIT_USAGE
         assert "parse error" in err
 
+    def test_coordinate_coefficient_is_parse_error(self, tmp_path):
+        p = tmp_path / "coord.txt"
+        p.write_text("dim 3\n[1,2] = x1*e3\n")
+        code, out, err = run(["validate", str(p)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("parse error: line 2: coefficient x1 of e3")
+
     def test_missing_file(self):
         code, _, err = run(["validate", "/nonexistent/alg.txt"])
         assert code == EXIT_USAGE

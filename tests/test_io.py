@@ -7,7 +7,7 @@ import pytest
 from lieinv import lie_algebra
 from lieinv.algebra import StructureError
 from lieinv.expr import coord, expr_str, param, rational, theta
-from lieinv.families import builtin_instances, make_g6_38, make_t0
+from lieinv.families import builtin_instances, make_g6_38, make_jordan, make_t0
 from lieinv.io import (
     ParseError,
     algebra_from_json,
@@ -19,6 +19,7 @@ from lieinv.io import (
     parse_expr,
     render_algebra,
 )
+from test_acceptance import PAIR_ROWS
 
 SO3_DOC = "dim 3\n[1,2] = e3\n[1,3] = -e2\n[2,3] = e1\n"
 
@@ -63,10 +64,6 @@ class TestExpressionGrammar:
         assert parse_expr("x2").equals(coord(2))
         assert parse_expr("th4").equals(theta(4))
         assert parse_expr("alpha").equals(param("alpha"))
-
-    def test_symbols_override(self):
-        f = parse_expr("y + x1", symbols={"y": coord(9)})
-        assert f.equals(coord(9) + coord(1))
 
     def test_rational_powers_and_simplification(self):
         assert expr_str(parse_expr("2^3")) == "8"
@@ -119,6 +116,18 @@ class TestAlgebraDocuments:
             ("dim 3\n[1,2] = e1*e2", "linear"),
             ("dim 3\n[1,2] = e3/e1", "denominator"),
             ("[1,2] = e3", "before dim"),
+            ("dim 3\nparam _basis3\n[1,2] = _basis3", "linear"),
+            ("dim 3\n[1,2] = x1*e3", "coefficient x1 of e3"),
+            ("dim 3\n[1,2] = e3/x1", "coefficient 1/x1 of e3"),
+            ("dim 3\n[1,2] = e3*th1", "coefficient th1 of e3"),
+            ("dim 3\n[1,2] = b*e3", "coefficient b of e3"),
+            ("dim 3\n[1,2] = exp(1)*e3", "of e3 is not a rational function"),
+            ("dim 3\n[1,2] = log(2)*e3", "of e3 is not a rational function"),
+            ("dim 3\n[1,2] = e7", "e7 is not a basis symbol of the 3-dimensional"),
+            ("dim 3\n[1,2] = e3 + e03", "linear"),
+            ("dim 3\nparam x1\n[1,2] = x1*e3", "reserved"),
+            ("dim 3\nparam e2\n[1,2] = e3", "reserved"),
+            ("dim 3\nparam th1\n[1,2] = e3", "reserved"),
         ],
     )
     def test_document_errors_carry_line_numbers(self, doc, fragment):
@@ -133,18 +142,19 @@ class TestAlgebraDocuments:
         assert "jacobi" in str(exc.value)
 
     def test_render_parse_round_trip(self):
-        for inst in builtin_instances():
-            g = inst.algebra
-            doc = render_algebra(g)
-            g2 = parse_algebra(doc)
+        algebras = [inst.algebra for inst in builtin_instances()]
+        algebras += [make_jordan(blocks).algebra for blocks in PAIR_ROWS]
+        for g in algebras:
+            g2 = parse_algebra(render_algebra(g))
             assert g2.dim == g.dim
             assert g2.params == g.params
             for i in range(1, g.dim + 1):
                 for j in range(i + 1, g.dim + 1):
-                    a, b = g.bracket(i, j), g2.bracket(i, j)
-                    assert set(a) == set(b)
-                    for k in a:
-                        assert a[k].equals(b[k])
+                    assert g2.bracket(i, j) == g.bracket(i, j)
+
+    def test_later_parameter_declaration(self):
+        g = parse_algebra("dim 3\n[1,2] = a*e3\nparam a\n")
+        assert g.bracket(1, 2)[3] == param("a")
 
 
 class TestJson:
@@ -160,6 +170,16 @@ class TestJson:
                 assert set(a) == set(b)
                 for k in a:
                     assert a[k].equals(b[k])
+
+    @pytest.mark.parametrize(
+        "coeff,fragment",
+        [("x1", "coefficient x1 of e3"), ("b", "coefficient b of e3")],
+    )
+    def test_rejects_non_scalar_coefficients(self, coeff, fragment):
+        doc = {"dim": 3, "params": ["a"], "brackets": [[1, 2, [[3, coeff]]]]}
+        with pytest.raises(ParseError) as exc:
+            algebra_from_json(doc)
+        assert fragment in str(exc.value)
 
     def test_load_autodetects_format(self):
         blob = json.dumps(algebra_to_json(parse_algebra(SO3_DOC)))

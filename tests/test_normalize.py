@@ -228,7 +228,7 @@ class TestFunctionalEquivalence:
 class TestRescale:
     def test_explicit_scaler(self):
         f = (coord(1) * coord(3) - coord(2) ** 2) / coord(1) ** 2
-        out, notes = rescale_to_polynomial([coord(1), f], scaler=coord(1))
+        out, notes = rescale_to_polynomial([coord(1), f])
         assert notes == []
         assert out[1].equals(coord(1) * coord(3) - coord(2) ** 2)
 
