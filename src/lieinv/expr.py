@@ -584,14 +584,21 @@ def _content(p):
     return cont
 
 
-def _as_univariate(p, atom):
+def _as_univariate(p, atoms):
+    """p as a polynomial in atoms: {key: coefficient free of atoms}.
+
+    The key of a monomial is its part in atoms as (atom, exponent) pairs,
+    or, when atoms holds a single atom, that atom's exponent.
+    """
     out = {}
+    single = len(atoms) == 1
     for m, c in p.terms.items():
-        e = m.exponent(atom)
-        rest = m.without(atom, e)
-        bucket = out.setdefault(e, {})
+        inside = tuple(it for it in m.vars if it[0] in atoms)
+        rest = Monomial(tuple(it for it in m.vars if it[0] not in atoms), m.ep)
+        key = (inside[0][1] if inside else 0) if single else inside
+        bucket = out.setdefault(key, {})
         bucket[rest] = bucket.get(rest, QZERO) + c
-    return {e: make_poly(d) for e, d in out.items()}
+    return {k: make_poly(d) for k, d in out.items()}
 
 
 def _from_univariate(coeffs, atom):
@@ -615,9 +622,17 @@ def poly_gcd(p, q):
 
     The result is primitive with a positive leading coefficient, POLY_ONE
     when the gcd is constant.  _gcd_is_constant first tries to prove the gcd
-    constant from images mod P = _PROBE_PRIME at a drawn point; when it
-    cannot, primitive Euclid with pseudo-division in the largest atom, on
-    contents and primitive parts, computes the gcd.
+    constant from images mod P = _PROBE_PRIME at a drawn point.  When it
+    cannot and p and q have different atoms, the gcd is folded from the
+    coefficients of q over the atoms only q has and of p over the atoms only
+    p has (a side without atoms of its own enters whole).  Otherwise
+    primitive Euclid with pseudo-division in the largest atom, on contents
+    and primitive parts, computes the gcd.
+
+    The reduction's certificate: a divisor of q has no atom that q lacks, so
+    it divides every coefficient of p over those atoms; symmetrically for p.
+    The common divisors of p and q are therefore those of the two coefficient
+    sets, and each coefficient has fewer atoms than the side it came from.
 
     The probe's certificate: take the gcd G primitive over the integers and
     let v be an atom shared by p and q (G has no other atoms).  By Gauss's
@@ -631,13 +646,19 @@ def poly_gcd(p, q):
         return q.scale(QONE / _content(q)) if not q.is_zero else POLY_ZERO
     if q.is_zero:
         return p.scale(QONE / _content(p))
-    atoms = p.atoms() | q.atoms()
+    atoms_p, atoms_q = p.atoms(), q.atoms()
+    atoms = atoms_p | atoms_q
     point = {a: _PROBE_RNG.getrandbits(61) for a in atoms}
     if _gcd_is_constant(p, q, point):
         return POLY_ONE
+    if atoms_p != atoms_q:
+        sides = ((q, atoms_q - atoms_p), (p, atoms_p - atoms_q))
+        return _gcd_many(
+            c for f, own in sides for c in (_as_univariate(f, own).values() if own else (f,))
+        )
     v = max(atoms, key=lambda a: a.skey)
-    pu = _as_univariate(p, v)
-    qu = _as_univariate(q, v)
+    pu = _as_univariate(p, (v,))
+    qu = _as_univariate(q, (v,))
     cont_p = _gcd_many(pu.values())
     cont_q = _gcd_many(qu.values())
     cont = poly_gcd(cont_p, cont_q)
@@ -761,13 +782,13 @@ def _poly_exact_div(p, d):
         return p.div_monomial(mono).scale(QONE / c)
     atoms = sorted(d.atoms(), key=lambda a: a.skey)
     v = atoms[-1]
-    du = _as_univariate(d, v)
+    du = _as_univariate(d, (v,))
     dd = max(du)
     lead = du[dd]
     rem = p
     out = POLY_ZERO
     while not rem.is_zero:
-        ru = _as_univariate(rem, v)
+        ru = _as_univariate(rem, (v,))
         dr = max(ru)
         if dr < dd:
             raise KernelError("inexact polynomial division")

@@ -395,16 +395,36 @@ def algebra_to_json(g):
     return out
 
 
+def _json_value(v, kind, expected, length=None):
+    """v, after checking its JSON type (bool is not an integer) and length."""
+    if type(v) is not kind or (length is not None and len(v) != length):
+        raise ParseError("%s, not %s" % (expected, json.dumps(v, default=repr)))
+    return v
+
+
 def algebra_from_json(data):
     if isinstance(data, str):
-        data = json.loads(data)
-    dim = data["dim"]
-    params = tuple(data.get("params", ()))
+        try:
+            data = json.loads(data)
+        except ValueError as err:
+            raise ParseError("malformed JSON: %s" % err)
+    data = _json_value(data, dict, "an algebra must be a JSON object")
+    dim = _json_value(data.get("dim"), int, "dim must be an integer")
+    params = tuple(_json_value(data.get("params", []), list, "params must be a list"))
     _check_params(params)
     entries = {}
-    for i, j, terms in data.get("brackets", []):
-        vec = {k: parse_expr(s) for k, s in terms}
-        entries[(i, j)] = _check_scalars(vec, dim, params)
+    for entry in _json_value(data.get("brackets", []), list, "brackets must be a list"):
+        i, j, terms = _json_value(entry, list, "a bracket must be [i, j, terms]", 3)
+        key = tuple(_json_value(a, int, "a bracket index must be an integer") for a in (i, j))
+        if key in entries:
+            raise ParseError("duplicate bracket [%d,%d]" % key)
+        vec = {}
+        for term in _json_value(terms, list, "the terms of [%d,%d] must be a list" % key):
+            k, c = _json_value(term, list, "a term must be [k, coefficient]", 2)
+            if _json_value(k, int, "a basis index must be an integer") in vec:
+                raise ParseError("duplicate basis index %d in [%d,%d]" % ((k,) + key))
+            vec[k] = parse_expr(_json_value(c, str, "a coefficient must be a string"))
+        entries[key] = _check_scalars(vec, dim, params)
     return _validated(dim, entries, params, data.get("name"))
 
 

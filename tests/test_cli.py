@@ -32,6 +32,44 @@ REAL_DOC = (
 IRRATIONAL_DOC = "dim 3\n[1,3] = e2\n[2,3] = -2*e1\n"
 COUPLED_DOC = "dim 3\n[1,3] = e1\n[2,3] = e1 + 2*e2\n"
 
+# Output of `family t0 --n N --run` from its "# elimination:" line to the end.
+T0_RUN_TAILS = {
+    5: (
+        "# elimination: complete=True count=2 rank=8\n"
+        "#   x4\n"
+        "#   (-1*x3*x7 + x4*x6)/x4\n"
+        "# generic assumptions: -1*x2 != 0; -1*x3 != 0; -1*x4 != 0; (-1*x3*x7 + "
+        "x4*x6)/x3 != 0; x4 != 0; (x3^2*x7 - x3*x4*x6)/(x2*x4) != 0\n"
+    ),
+    6: (
+        "# elimination: complete=True count=3 rank=12\n"
+        "#   x5\n"
+        "#   (-1*x4*x9 + x5*x8)/x5\n"
+        "#   (x3*x8*x12 - x3*x9*x11 - x4*x7*x12 + x4*x9*x10 + x5*x7*x11 - "
+        "x5*x8*x10)/(x4*x9 - x5*x8)\n"
+        "# generic assumptions: -1*x2 != 0; -1*x3 != 0; -1*x4 != 0; -1*x5 != 0; "
+        "(-1*x3*x8 + x4*x7)/x3 != 0; (-1*x4*x9 + x5*x8)/x4 != 0; x5 != 0; (x3*x4*x9 - "
+        "x3*x5*x8)/(x2*x5) != 0; (x4^2*x9 - x4*x5*x8)/(x3*x5) != 0\n"
+    ),
+    7: (
+        "# elimination: complete=True count=3 rank=18\n"
+        "#   x6\n"
+        "#   (-1*x5*x11 + x6*x10)/x6\n"
+        "#   (x4*x10*x15 - x4*x11*x14 - x5*x9*x15 + x5*x11*x13 + x6*x9*x14 - "
+        "x6*x10*x13)/(x5*x11 - x6*x10)\n"
+        "# generic assumptions: -1*x2 != 0; -1*x3 != 0; -1*x4 != 0; -1*x5 != 0; -1*x6 "
+        "!= 0; (-1*x3*x9 + x4*x8)/x3 != 0; (-1*x4*x10 + x5*x9)/x4 != 0; (-1*x5*x11 + "
+        "x6*x10)/x5 != 0; x6 != 0; (-1*x4*x10*x15 + x4*x11*x14 + x5*x9*x15 - x5*x11*x13 "
+        "- x6*x9*x14 + x6*x10*x13)/(x4*x10 - x5*x9) != 0; (x3*x5*x11 - "
+        "x3*x6*x10)/(x2*x6) != 0; (x4^2*x10^2*x15 - x4^2*x10*x11*x14 - "
+        "2*x4*x5*x9*x10*x15 + x4*x5*x9*x11*x14 + x4*x5*x10*x11*x13 + x4*x6*x9*x10*x14 - "
+        "x4*x6*x10^2*x13 + x5^2*x9^2*x15 - x5^2*x9*x11*x13 - x5*x6*x9^2*x14 + "
+        "x5*x6*x9*x10*x13)/(x3*x5*x9*x11 - x3*x6*x9*x10 - x4*x5*x8*x11 + x4*x6*x8*x10) "
+        "!= 0; (x4*x5*x11 - x4*x6*x10)/(x3*x6) != 0; (x5^2*x11 - x5*x6*x10)/(x4*x6) != "
+        "0\n"
+    ),
+}
+
 
 def run(argv, stdin=None):
     out, err = io.StringIO(), io.StringIO()
@@ -80,6 +118,14 @@ class TestValidate:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("parse error: line 2: coefficient x1 of e3")
+
+    def test_string_dim_in_json_is_parse_error(self, tmp_path):
+        p = tmp_path / "alg.json"
+        p.write_text('{"dim": "3", "brackets": [[1, 2, [[3, "1"]]]]}')
+        code, out, err = run(["validate", str(p)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith('parse error: dim must be an integer, not "3"')
 
     def test_missing_file(self):
         code, _, err = run(["validate", "/nonexistent/alg.txt"])
@@ -282,9 +328,16 @@ class TestFamily:
             assert code == EXIT_OK
             assert "[ok]" in out and "FAILS" not in out
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_t0_run_prints_the_pinned_elimination(self, n):
+        code, out, _ = run(["family", "t0", "--n", str(n), "--run"])
+        assert code == EXIT_OK
+        assert out.endswith(T0_RUN_TAILS[n])
+
     def test_t0_seven_run_matches_the_minors(self):
         code, out, _ = run(["family", "t0", "--n", "7", "--run"])
         assert code == EXIT_OK
+        assert out.endswith(T0_RUN_TAILS[7])
         lines = out.splitlines()
         at = lines.index("# elimination: complete=True count=3 rank=18")
         printed = [parse_expr(line[4:]) for line in lines[at + 1:at + 4]]

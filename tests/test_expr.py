@@ -30,7 +30,15 @@ from lieinv.expr import (
     theta,
     theta_atom,
 )
-from lieinv.expr import _PROBE_PRIME, _diff_monomial, _diff_poly, _gcd_is_constant
+from lieinv.expr import (
+    _PROBE_PRIME,
+    _content,
+    _diff_monomial,
+    _diff_poly,
+    _gcd_is_constant,
+    make_monomial,
+    make_poly,
+)
 
 X1, X2, X3 = coord(1), coord(2), coord(3)
 T1 = theta(1)
@@ -440,6 +448,87 @@ class TestPolyGcd:
             else:
                 nonconstant += bool(expected.free_symbols)
         assert nonconstant > 10
+
+    @staticmethod
+    def from_sympy(expr, syms, atoms):
+        sympy = pytest.importorskip("sympy")
+        return make_poly({
+            make_monomial(zip(atoms, exps), None): Fraction(int(c.p), int(c.q))
+            for exps, c in sympy.Poly(expr, *syms).terms()
+        })
+
+    def check_against_sympy(self, sp, sq, syms, atoms):
+        """poly_gcd of the two sympy polynomials, both argument orders."""
+        sympy = pytest.importorskip("sympy")
+        p, q = self.from_sympy(sp, syms, atoms), self.from_sympy(sq, syms, atoms)
+        expected = sympy.gcd(sp, sq)
+        for got in (poly_gcd(p, q), poly_gcd(q, p)):
+            ratio = sympy.cancel(self.to_sympy(got, dict(zip(atoms, syms))) / expected)
+            assert ratio.is_Rational and ratio != 0, (sp, sq, got, expected)
+            assert _content(got) == 1, got  # primitive with a positive lead
+        return expected
+
+    @staticmethod
+    def random_sympy(rng, syms, nterms, degree=2):
+        sympy = pytest.importorskip("sympy")
+        acc = sympy.Integer(0)
+        for _ in range(nterms):
+            term = sympy.Rational(rng.choice([n for n in range(-5, 6) if n]), rng.randint(1, 3))
+            for _ in range(rng.randint(0, degree)):
+                term *= rng.choice(syms)
+            acc += term
+        return sympy.expand(acc)
+
+    def test_atoms_one_side_lacks_match_sympy_gcd(self):
+        # p = G*A and q = G*B, where A has atoms that B lacks and, in every
+        # other trial, B has atoms that A lacks; G is constant or over the
+        # shared atoms only
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1:9")
+        atoms = [coord_atom(k) for k in range(1, 9)]
+        shared, own_a, own_b = syms[:3], syms[3:6], syms[6:]
+        rng = random.Random(2006)
+        nonconstant = 0
+        for trial in range(36):
+            g = sympy.Integer(1) if trial % 3 == 0 else self.random_sympy(rng, shared, rng.randint(1, 3))
+            sides = []
+            for own in (own_a, own_b if trial % 2 else ()):
+                u = self.random_sympy(rng, shared + own, rng.randint(1, 4))
+                if own:
+                    u = sympy.expand(u + rng.randint(1, 3) * rng.choice(own))
+                if rng.random() < 0.5:  # a shared factor of every own-atom coefficient
+                    u = sympy.expand(u * self.random_sympy(rng, shared, rng.randint(1, 3), 1))
+                sides.append(u)
+            a, b = sides
+            if g == 0 or a == 0 or b == 0:
+                continue
+            expected = self.check_against_sympy(sympy.expand(g * a), sympy.expand(g * b), syms, atoms)
+            nonconstant += bool(expected.free_symbols)
+        assert nonconstant >= 12
+
+    def test_own_atom_coefficients_of_both_sides_count(self):
+        # the coefficients of p over x3 share (x1 + x2)*(x1 - x2); q's over x4
+        # share only x1 + x2
+        sympy = pytest.importorskip("sympy")
+        syms = x1, x2, x3, x4 = sympy.symbols("x1:5")
+        atoms = [coord_atom(k) for k in range(1, 5)]
+        p = sympy.expand((x1 + x2) * (x1 - x2) * (x3 + 1))
+        q = sympy.expand((x1 + x2) * (x1 - x2) * x4 + (x1 + x2) * x4**2 + (x1 + x2))
+        assert self.check_against_sympy(p, q, syms, atoms) == x1 + x2
+
+    def test_many_terms_against_few(self):
+        # the shape of a nontrivial gcd in t0(6) elimination: a p of 50 or
+        # more terms against a 4-term q, with gcd x3*x8 - x4*x7
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1:13")
+        atoms = [coord_atom(k) for k in range(1, 13)]
+        x = dict(zip(range(1, 13), syms))
+        g = x[3] * x[8] - x[4] * x[7]
+        rng = random.Random(56)
+        p = sympy.expand(g * self.random_sympy(rng, syms, 50))
+        q = sympy.expand(g * (x[5] - x[2]))
+        assert len(p.as_ordered_terms()) >= 50 and len(q.as_ordered_terms()) == 4
+        assert self.check_against_sympy(p, q, syms, atoms) == g
 
     def test_probe_no_shared_atom_is_constant(self):
         assert _gcd_is_constant((X1 + 1).num, (X2 * X3 + 1).num, {})

@@ -181,6 +181,40 @@ class TestJson:
             algebra_from_json(doc)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ({"dim": "3", "brackets": [[1, 2, [[3, "1"]]]]}, 'dim must be an integer, not "3"'),
+            ({"dim": 3.0, "brackets": []}, "dim must be an integer, not 3.0"),
+            ({"dim": True}, "dim must be an integer, not true"),
+            ({"brackets": []}, "dim must be an integer, not null"),
+            ({"dim": 3, "params": "ab"}, 'params must be a list, not "ab"'),
+            ({"dim": 3, "brackets": [[1, 2, [["3", "1"]]]]}, 'basis index must be an integer, not "3"'),
+            ({"dim": 3, "brackets": [["1", 2, [[3, "1"]]]]}, 'bracket index must be an integer, not "1"'),
+            ({"dim": 3, "brackets": [[1, 2]]}, "a bracket must be [i, j, terms], not [1, 2]"),
+            ({"dim": 3, "brackets": [[1, 2, [[3]]]]}, "a term must be [k, coefficient], not [3]"),
+            ({"dim": 3, "brackets": [[1, 2, [[3, 1]]]]}, "a coefficient must be a string, not 1"),
+            (
+                {"dim": 3, "brackets": [[1, 2, [[3, "1"], [3, "2"]]]]},
+                "duplicate basis index 3 in [1,2]",
+            ),
+            (
+                {"dim": 3, "brackets": [[1, 2, [[3, "1"]]], [1, 2, [[3, "2"]]]]},
+                "duplicate bracket [1,2]",
+            ),
+        ],
+    )
+    def test_rejects_malformed_documents(self, doc, fragment):
+        for source in (doc, json.dumps(doc)):
+            with pytest.raises(ParseError) as exc:
+                load_algebra(source) if isinstance(source, str) else algebra_from_json(source)
+            assert fragment in str(exc.value)
+
+    def test_rejects_malformed_json_text(self):
+        with pytest.raises(ParseError) as exc:
+            load_algebra('{"dim": 3,')
+        assert str(exc.value).startswith("malformed JSON")
+
     def test_load_autodetects_format(self):
         blob = json.dumps(algebra_to_json(parse_algebra(SO3_DOC)))
         for source in (SO3_DOC, blob, "  \n" + blob):
