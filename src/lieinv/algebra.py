@@ -23,7 +23,7 @@ from .expr import (
     param_atom,
     rational,
 )
-from .linalg import Matrix, nullspace_exprs, rank_rational
+from .linalg import Matrix, nullspace_exprs, rank_exprs, rref_exprs
 
 SAMPLE_BOUND = 10_000
 
@@ -139,24 +139,31 @@ def lie_algebra(dim, entries, params=(), name="", labels=None, coord_labels=None
 
 
 def jacobi_defects(g):
-    """All violated Jacobi triples as (i, j, k, residual dict)."""
-    out = []
-    n = g.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                res = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cm in g.bracket(a, b).items():
-                        for t, ct in g.bracket(m, c).items():
-                            acc = res.get(t, EXPR_ZERO) + cm * ct
-                            if acc.is_zero():
-                                res.pop(t, None)
-                            else:
-                                res[t] = acc
-                if res:
-                    out.append((i, j, k, res))
-    return out
+    """All violated Jacobi triples as (i, j, k, residual dict), i < j < k.
+
+    Only stored nonzero brackets are walked: [[e_a, e_b], e_c] adds
+    c_ab^m [e_m, e_c] to the cyclic sum of the triple {a, b, c}, negated
+    when (a, b, c) is an odd permutation of it.
+    """
+    ad = {}
+    for (a, b), coeffs in g.brackets.items():
+        ad.setdefault(a, []).append((b, coeffs))
+        ad.setdefault(b, []).append((a, {k: -c for k, c in coeffs.items()}))
+    sums = {}
+    for (a, b), coeffs in g.brackets.items():
+        for m, cm in coeffs.items():
+            for c, row in ad.get(m, ()):
+                if c == a or c == b:
+                    continue
+                res = sums.setdefault(tuple(sorted((a, b, c))), {})
+                signed = -cm if a < c < b else cm
+                for t, ct in row.items():
+                    acc = res.get(t, EXPR_ZERO) + signed * ct
+                    if acc:
+                        res[t] = acc
+                    else:
+                        res.pop(t, None)
+    return [(i, j, k, res) for (i, j, k), res in sorted(sums.items()) if res]
 
 
 def validate(g):
@@ -187,28 +194,8 @@ def center(g):
             if touched:
                 rows.append(row)
     if not rows:
-        return [
-            [rational(1) if t == s else EXPR_ZERO for t in range(n)] for s in range(n)
-        ]
+        return [list(row) for row in Matrix.identity(n).rows]
     return nullspace_exprs(rows)
-
-
-def _echelon_insert(basis, vec):
-    """Insert vec into a row-reduced basis; True if the span grew."""
-    v = list(vec)
-    n = len(v)
-    for lead, row in basis:
-        if not v[lead].is_zero():
-            f = v[lead]
-            v = [v[t] - f * row[t] for t in range(n)]
-    for t in range(n):
-        if not v[t].is_zero():
-            piv = v[t]
-            v = [u / piv for u in v]
-            basis.append((t, v))
-            basis.sort(key=lambda it: it[0])
-            return True
-    return False
 
 
 def derived_series(g):
@@ -218,28 +205,21 @@ def derived_series(g):
 
 def lower_central_series(g):
     """Dimensions of g, [g, g], [g, [g, g]], ..."""
-    n = g.dim
-    full = [
-        [rational(1) if t == s else EXPR_ZERO for t in range(n)] for s in range(n)
-    ]
+    full = Matrix.identity(g.dim).rows
     return _series_dims(g, lambda cur: [(u, v) for u in full for v in cur])
 
 
 def _series_dims(g, pair_source):
-    n = g.dim
-    cur = [[rational(1) if t == s else EXPR_ZERO for t in range(n)] for s in range(n)]
-    dims = [n]
+    cur = Matrix.identity(g.dim).rows
+    dims = [g.dim]
     while True:
-        basis = []
-        for u, v in pair_source(cur):
-            w = g.bracket_vectors(u, v)
-            if any(not c.is_zero() for c in w):
-                _echelon_insert(basis, w)
-        d = len(basis)
+        brackets = (g.bracket_vectors(u, v) for u, v in pair_source(cur))
+        basis, pivots, _ = rref_exprs([w for w in brackets if any(w)])
+        d = len(pivots)
         dims.append(d)
         if d == 0 or d == dims[-2]:
             return dims
-        cur = [row for _, row in basis]
+        cur = basis[:d]
 
 
 def is_nilpotent(g):
@@ -279,13 +259,10 @@ def rank_coadjoint(g, seed=0, trials=8, param_point=None):
             else:
                 point[a] = sample_fraction(rng)
         try:
-            rows = [
-                [evaluate(v, point) for v in row]
-                for row in smat.rows
-            ]
+            rows = smat.map(lambda v: evaluate(v, point)).rows
         except SingularPoint:
             continue
-        r = rank_rational(rows)
+        r = rank_exprs(rows)
         if r > best:
             best = r
             witness = {i: point[coord_atom(i)] for i in range(1, n + 1)}

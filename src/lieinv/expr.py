@@ -841,6 +841,10 @@ class Expr:
     def is_zero(self):
         return self.num.is_zero
 
+    def __bool__(self):
+        """Nonzero, as for Fraction, so that `if v:` tests either field."""
+        return not self.num.is_zero
+
     def is_one(self):
         return self.num.is_one and self.den.is_one
 
@@ -1442,10 +1446,11 @@ def _subst_atom(a, mapping, cache):
 
 
 def evaluate(f, point):
-    """Evaluate a transcendental-free expression to a Fraction.
+    """Evaluate an expression to a Fraction.
 
-    point: dict Atom -> Fraction.  Raises SingularPoint on a zero denominator
-    and KernelError if a transcendental or unassigned atom remains.
+    point: dict mapping atoms, including generator atoms, and ExpPart keys
+    of exponential factors to Fractions.  Raises SingularPoint on a zero
+    denominator and KernelError if an atom or exponential has no value.
     """
     num = _eval_poly(f.num, point)
     den = _eval_poly(f.den, point)
@@ -1457,13 +1462,15 @@ def evaluate(f, point):
 def _eval_poly(p, point):
     tot = QZERO
     for m, c in p.terms.items():
-        if m.ep is not None:
-            raise KernelError("cannot numerically evaluate an exponential factor")
         v = c
+        if m.ep is not None:
+            if m.ep not in point:
+                raise KernelError("cannot numerically evaluate an exponential factor")
+            v *= point[m.ep]
         for a, e in m.vars:
-            if a.is_generator:
-                raise KernelError("cannot numerically evaluate %s" % atom_str(a))
             if a not in point:
+                if a.is_generator:
+                    raise KernelError("cannot numerically evaluate %s" % atom_str(a))
                 raise KernelError("no value for %s" % atom_str(a))
             v *= point[a] ** e
         tot += v

@@ -23,14 +23,15 @@ from .algebra import sample_fraction
 from .expr import (
     EXPR_ZERO,
     KernelError,
+    SingularPoint,
     coord,
     cos_of,
+    evaluate,
     exp_of,
     from_atom,
     param_atom,
     rational,
     sin_of,
-    substitute,
     theta_atom,
 )
 from .linalg import (
@@ -38,7 +39,7 @@ from .linalg import (
     charpoly_exprs,
     inverse_exprs,
     nullspace_exprs,
-    rank_rational,
+    rank_exprs,
     rational_roots,
 )
 
@@ -263,105 +264,51 @@ def lifted_invariants(g, signs=None):
 # sampled Jacobian rank
 
 
-class _FactorSample:
-    """Exact rational specialization of one frame factor.
+def _factor_point(factor, params, rng):
+    """Exact rational point at which to evaluate one frame factor.
 
-    The polynomial occurrences of th get an independent rational value, the
+    params maps parameter atoms to Fractions; the point extends it.  The
+    polynomial occurrences of th get an independent rational value, the
     exponentials exp(q*th) become eps**(D*q) for a sampled positive rational
     eps (D clears the denominators of all q seen), and cos/sin of multiples
     nu*th are rational points on the unit circle produced by integer rotation
     powers of a sampled primitive angle, so every trig identity between
     multiples of the same angle is honored.
     """
-
-    def __init__(self, factor, param_map, rng):
-        self.theta = factor.theta
-        self.tval = sample_fraction(rng)
-        self.param_map = param_map
-        exp_dens = [1]
-        trig_dens = [1]
-        for row in factor.closed.rows:
-            for entry in row:
-                for ep in entry.exp_parts():
-                    q = self._theta_coefficient(ep.base)
-                    exp_dens.append(q.denominator)
-                for atom in entry.generator_atoms():
-                    if atom.head in ("cos", "sin"):
-                        nu = self._theta_coefficient(atom.arg)
-                        trig_dens.append(nu.denominator)
-                    elif atom.head in ("log", "atan"):
-                        raise KernelError(
-                            "unexpected %s inside a frame factor" % atom.head
-                        )
-        self.exp_den = math.lcm(*exp_dens)
-        self.trig_den = math.lcm(*trig_dens)
-        base = Fraction(rng.randint(2, 97), rng.randint(2, 97))
-        self.exp_unit = base if base != 1 else Fraction(2)
-        r = Fraction(rng.randint(1, 40), rng.randint(41, 80))
-        one = Fraction(1)
-        self.cos_unit = (one - r * r) / (one + r * r)
-        self.sin_unit = 2 * r / (one + r * r)
-
-    def _theta_coefficient(self, arg):
-        """Rational coefficient of th in a linear argument."""
-        sub = substitute(arg, self.param_map) if self.param_map else arg
-        at_one = substitute(sub, {self.theta: rational(1)})
-        at_zero = substitute(sub, {self.theta: EXPR_ZERO})
-        if not at_zero.is_zero():
-            raise KernelError("affine offset in a transcendental argument")
-        diff = at_one
-        if not diff.is_rational():
-            raise KernelError("non-constant frequency in a frame factor")
-        return diff.as_fraction()
-
-    def value_of_ep(self, ep):
-        q = self._theta_coefficient(ep.base)
-        power = q * self.exp_den
-        if power.denominator != 1:
-            raise KernelError("exponent denominators changed between passes")
-        return self.exp_unit ** int(power)
-
-    def value_of_trig(self, atom):
-        nu = self._theta_coefficient(atom.arg)
-        m = nu * self.trig_den
-        if m.denominator != 1:
-            raise KernelError("frequency denominators changed between passes")
-        c, s = _rotation_power(self.cos_unit, self.sin_unit, int(m))
-        return c if atom.head == "cos" else s
-
-    def evaluate_entry(self, entry):
-        point = dict(self.param_map_fractions())
-        point[self.theta] = self.tval
-        total = self._eval_poly(entry.num, point)
-        den = self._eval_poly(entry.den, point)
-        if den == 0:
-            raise ZeroDivisionError
-        return total / den
-
-    def _eval_poly(self, poly, point):
-        total = Fraction(0)
-        for m, c in poly.terms.items():
-            v = Fraction(c)
-            for a, e in m.vars:
-                if a.is_generator:
-                    v *= self.value_of_trig(a) ** e
-                else:
-                    v *= point[a] ** e
-            if m.ep is not None:
-                if m.ep.terms:
+    theta = factor.theta
+    point = dict(params)
+    point[theta] = sample_fraction(rng)
+    exps, trigs = {}, {}
+    for row in factor.closed.rows:
+        for entry in row:
+            for ep in entry.exp_parts():
+                if ep.terms:
                     raise KernelError("generator inside a frame exponential")
-                v *= self.value_of_ep(m.ep)
-            total += v
-        return total
+                exps[ep] = _theta_coefficient(ep.base, theta, params)
+            for atom in entry.generator_atoms():
+                if atom.head in ("log", "atan"):
+                    raise KernelError("unexpected %s inside a frame factor" % atom.head)
+                trigs[atom] = _theta_coefficient(atom.arg, theta, params)
+    exp_den = math.lcm(1, *(q.denominator for q in exps.values()))
+    trig_den = math.lcm(1, *(nu.denominator for nu in trigs.values()))
+    base = Fraction(rng.randint(2, 97), rng.randint(2, 97))
+    exp_unit = base if base != 1 else Fraction(2)
+    r = Fraction(rng.randint(1, 40), rng.randint(41, 80))
+    cos_unit = (1 - r * r) / (1 + r * r)
+    sin_unit = 2 * r / (1 + r * r)
+    for ep, q in exps.items():
+        point[ep] = exp_unit ** int(q * exp_den)
+    for atom, nu in trigs.items():
+        c, s = _rotation_power(cos_unit, sin_unit, int(nu * trig_den))
+        point[atom] = c if atom.head == "cos" else s
+    return point
 
-    def param_map_fractions(self):
-        out = {}
-        for a, v in (self.param_map or {}).items():
-            out[a] = v.as_fraction()
-        return out
 
-    def matrix(self, mat):
-        return [[self.evaluate_entry(v) for v in row] for row in mat.rows]
+def _theta_coefficient(arg, theta, params):
+    """Rational coefficient q of th in a transcendental argument q*th."""
+    if evaluate(arg, {**params, theta: Fraction(0)}):
+        raise KernelError("affine offset in a transcendental argument")
+    return evaluate(arg, {**params, theta: Fraction(1)})
 
 
 def _rotation_power(c, s, m):
@@ -390,75 +337,37 @@ def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
     g = frame.algebra
     n = g.dim
     rng = random.Random(seed)
-    param_map = {}
+    params = {}
     for p in g.params:
         a = param_atom(p)
         if param_point and a in param_point:
-            param_map[a] = rational(Fraction(param_point[a]))
+            params[a] = Fraction(param_point[a])
         else:
-            param_map[a] = rational(sample_fraction(rng))
-    ads = []
-    for f in frame.factors:
-        mat = f.ad.map(lambda v: substitute(v, param_map)) if param_map else f.ad
-        rows = []
-        for row in mat.rows:
-            rows.append([v.as_fraction() for v in row])
-        ads.append(rows)
+            params[a] = sample_fraction(rng)
+    ads = [f.ad.map(lambda v: evaluate(v, params)) for f in frame.factors]
     best = 0
     for _ in range(max(1, trials)):
+        xhat = [sample_fraction(rng) for _ in range(n)]
         try:
-            xhat = [sample_fraction(rng) for _ in range(n)]
-            samples = [_FactorSample(f, param_map, rng) for f in frame.factors]
-            mats = [s.matrix(f.closed) for s, f in zip(samples, frame.factors)]
-            suffix = [None] * (len(mats) + 1)
-            suffix[len(mats)] = _id_rows(n)
-            for i in range(len(mats) - 1, -1, -1):
-                suffix[i] = _mat_mul(mats[i], suffix[i + 1])
-            rows = []
-            prefix_vec = list(xhat)
-            for i, f in enumerate(frame.factors):
-                deriv = _vec_mat(prefix_vec, ads[i])
-                if f.sign < 0:
-                    deriv = [-v for v in deriv]
-                deriv = _vec_mat(deriv, mats[i])
-                rows.append(_vec_mat(deriv, suffix[i + 1]))
-                prefix_vec = _vec_mat(prefix_vec, mats[i])
-            r = rank_rational(rows)
-            best = max(best, r)
-        except ZeroDivisionError:
+            points = [_factor_point(f, params, rng) for f in frame.factors]
+            mats = [
+                f.closed.map(lambda v, pt=pt: evaluate(v, pt))
+                for f, pt in zip(frame.factors, points)
+            ]
+        except SingularPoint:
             continue
+        suffix = [Matrix.identity(n, Fraction(1))]
+        for mat in reversed(mats):
+            suffix.append(mat.mul(suffix[-1]))
+        suffix.reverse()
+        rows = []
+        prefix_vec = xhat
+        for i, f in enumerate(frame.factors):
+            deriv = ads[i].row_vector_times(prefix_vec)
+            if f.sign < 0:
+                deriv = [-v for v in deriv]
+            deriv = mats[i].row_vector_times(deriv)
+            rows.append(suffix[i + 1].row_vector_times(deriv))
+            prefix_vec = mats[i].row_vector_times(prefix_vec)
+        best = max(best, rank_exprs(rows))
     return best
-
-
-def _id_rows(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            tot = Fraction(0)
-            for t in range(k):
-                if ai[t]:
-                    tot += ai[t] * b[t][j]
-            row.append(tot)
-        out.append(row)
-    return out
-
-
-def _vec_mat(vec, mat):
-    m = len(mat[0])
-    out = []
-    for j in range(m):
-        tot = Fraction(0)
-        for i, v in enumerate(vec):
-            if v:
-                tot += v * mat[i][j]
-        out.append(tot)
-    return out

@@ -1,9 +1,9 @@
-"""Exact linear algebra over the expression field and over plain rationals.
+"""Matrices over Q and the expression field, one elimination.
 
-Expression matrices use field elimination with is_zero() pivot tests, so
-parametric entries are handled generically (a pivot is usable whenever it is
-not identically zero).  Pure-rational paths take lists of Fractions and stay
-fast for the sampling-based rank computations.
+Entries are Fractions or Exprs, one field per matrix; `if v:` is the zero
+test of both.  Over Exprs a pivot is usable whenever it is not identically
+zero, so parametric entries are handled generically; over Fractions the
+same code ranks the sampled matrices of the rank checks.
 """
 
 from __future__ import annotations
@@ -11,11 +11,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .expr import EXPR_ONE, EXPR_ZERO, KernelError
+from .expr import EXPR_ONE, EXPR_ZERO, QONE, QZERO, KernelError
+
+
+def _zero_one(v):
+    """Zero and one of the field of v, Fraction or Expr."""
+    return (QZERO, QONE) if isinstance(v, Fraction) else (EXPR_ZERO, EXPR_ONE)
 
 
 class Matrix:
-    """A dense matrix of expressions."""
+    """A dense matrix of Fractions or expressions."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -41,10 +46,10 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
     @staticmethod
-    def identity(n):
-        return Matrix(
-            [[EXPR_ONE if i == j else EXPR_ZERO for j in range(n)] for i in range(n)]
-        )
+    def identity(n, one=EXPR_ONE):
+        """The n x n identity over the field of one (Expr or Fraction)."""
+        zero, one = _zero_one(one)
+        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(n, m=None):
@@ -54,20 +59,7 @@ class Matrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise KernelError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = EXPR_ZERO
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        return Matrix([other.row_vector_times(row) for row in self.rows])
 
     def add(self, other):
         return Matrix(
@@ -104,17 +96,17 @@ class Matrix:
         return Matrix([[fn(v) for v in row] for row in self.rows])
 
     def row_vector_times(self, vec):
-        """vec (length nrows) times self, returning a list of expressions."""
+        """vec (length nrows) times self as a list; zero products are skipped."""
+        zero = _zero_one(self.rows[0][0])[0] if self.ncols else None
+        terms = [(v, row) for v, row in zip(vec, self.rows) if v]
         out = []
         for j in range(self.ncols):
-            acc = EXPR_ZERO
-            for i in range(self.nrows):
-                v = vec[i]
-                m = self.rows[i][j]
-                if v.is_zero() or m.is_zero():
-                    continue
-                acc = acc + v * m
-            out.append(acc)
+            acc = None
+            for v, row in terms:
+                m = row[j]
+                if m:
+                    acc = v * m if acc is None else acc + v * m
+            out.append(zero if acc is None else acc)
         return out
 
     def is_zero(self):
@@ -145,14 +137,17 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination over the expression field
+# elimination
 
 
-def rref_exprs(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns, pivot_values).
+def rref_exprs(rows, reduced=True):
+    """Row echelon form over Fraction or Expr entries.
 
-    pivot_values collects the expressions that were divided by, i.e. the
-    genericity assumptions under which the echelon form is valid.
+    Returns (rows, pivot_columns, pivot_values).  Each pivot row is scaled to
+    1 before it clears its column below, and also above when reduced (the
+    reduced form); a rank needs only the first.  pivot_values collects the
+    entries that were divided by, i.e. the genericity assumptions under
+    which the echelon form is valid.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -161,25 +156,19 @@ def rref_exprs(rows):
     assumptions = []
     r = 0
     for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if not m[i][c].is_zero():
-                pr = i
-                break
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         pv = m[r][c]
-        if not pv.is_one():
+        if pv != _zero_one(pv)[1]:
             assumptions.append(pv)
-            m[r] = [v / pv for v in m[r]]
-        for i in range(nr):
-            if i == r:
-                continue
+            m[r] = [v / pv if v else v for v in m[r]]
+        mr = m[r]
+        for i in range(0 if reduced else r + 1, nr):
             f = m[i][c]
-            if f.is_zero():
-                continue
-            m[i] = [m[i][j] - f * m[r][j] for j in range(nc)]
+            if i != r and f:
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], mr)]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -188,19 +177,20 @@ def rref_exprs(rows):
 
 
 def rank_exprs(rows):
-    _, pivots, _ = rref_exprs(rows)
-    return len(pivots)
+    """Rank of a list of Fraction or Expr rows."""
+    return len(rref_exprs(rows, reduced=False)[1])
 
 
 def nullspace_exprs(rows):
-    """Basis of the right kernel as lists of expressions."""
+    """Basis of the right kernel as lists over the field of the rows."""
     m, pivots, _ = rref_exprs(rows)
     nc = len(rows[0]) if rows else 0
     free = [c for c in range(nc) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [EXPR_ZERO] * nc
-        vec[fc] = EXPR_ONE
+        zero, one = _zero_one(rows[0][fc])
+        vec = [zero] * nc
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
         basis.append(vec)
@@ -211,7 +201,10 @@ def inverse_exprs(mat):
     n = mat.nrows
     if n != mat.ncols:
         raise KernelError("inverse of a non-square matrix")
-    aug = [list(mat.rows[i]) + list(Matrix.identity(n).rows[i]) for i in range(n)]
+    aug = []
+    for i, row in enumerate(mat.rows):
+        zero, one = _zero_one(row[0])
+        aug.append(list(row) + [one if j == i else zero for j in range(n)])
     red, pivots, _ = rref_exprs(aug)
     if pivots[:n] != list(range(n)):
         raise KernelError("matrix is singular")
@@ -291,36 +284,7 @@ def charpoly_exprs(mat):
 
 
 # ---------------------------------------------------------------------------
-# pure-rational fast paths
-
-
-def rank_rational(rows):
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    for c in range(nc):
-        pr = None
-        for i in range(rank, nr):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        pv = m[rank][c]
-        for i in range(rank + 1, nr):
-            if not m[i][c]:
-                continue
-            f = m[i][c] / pv
-            mi = m[i]
-            mr = m[rank]
-            for j in range(c, nc):
-                mi[j] -= f * mr[j]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+# rational roots
 
 
 def rational_roots(coeffs):

@@ -165,25 +165,25 @@ def symmetrize(f):
 
 
 def _relations(g, coeffs):
-    """Coefficient conversion, zero and the table of [e_a, e_b] for a > b.
+    """Coefficient conversion and the table of [e_a, e_b] for a > b.
 
     Coefficients are Fractions when the given coefficients and every
     structure constant are rational, and Exprs otherwise.
     """
     structure = [c for row in g.brackets.values() for c in row.values()]
-    if all(c.is_rational() for c in coeffs) and all(c.is_rational() for c in structure):
-        conv, zero = Expr.as_fraction, Fraction(0)
-    else:
-        conv, zero = (lambda c: c), EXPR_ZERO
+    rational_only = all(c.is_rational() for c in coeffs) and all(
+        c.is_rational() for c in structure
+    )
+    conv = Expr.as_fraction if rational_only else (lambda c: c)
     table = {(j, i): [(k, -conv(c)) for k, c in row.items()] for (i, j), row in g.brackets.items()}
-    return conv, zero, table
+    return conv, table
 
 
 def _inversions(word):
     return sum(a > b for t, a in enumerate(word) for b in word[t + 1:])
 
 
-def _straighten(work, table, zero):
+def _straighten(work, table):
     """Normal-order a dict word -> coefficient into non-decreasing words.
 
     Pending words are bucketed by (length, inversions).  A swap lowers the
@@ -204,7 +204,7 @@ def _straighten(work, table, zero):
     while levels:
         key = max(levels)
         for word, c in levels.pop(key).items():
-            if c == zero:
+            if not c:
                 continue
             if key[1] == 0:
                 result[word] = c
@@ -220,9 +220,9 @@ def _straighten(work, table, zero):
 
 def pbw_normal_form(p, g):
     """Rewrite into the basis of non-decreasing words using the relations."""
-    conv, zero, table = _relations(g, p.terms.values())
-    nf = _straighten({w: conv(c) for w, c in p.terms.items()}, table, zero)
-    return NCPoly({w: c if zero is EXPR_ZERO else rational(c) for w, c in nf.items()})
+    conv, table = _relations(g, p.terms.values())
+    nf = _straighten({w: conv(c) for w, c in p.terms.items()}, table)
+    return NCPoly({w: rational(c) if isinstance(c, Fraction) else c for w, c in nf.items()})
 
 
 def is_central(g, f, degree_bound=6):
@@ -236,14 +236,14 @@ def is_central(g, f, degree_bound=6):
     if degree > degree_bound:
         raise KernelError("degree %d exceeds the centrality bound %d" % (degree, degree_bound))
     p = f if letter_terms is None else _symmetrize_letters(letter_terms)
-    conv, zero, table = _relations(g, p.terms.values())
+    conv, table = _relations(g, p.terms.values())
     # normal-order p once; [e_i, p] is then straightened from its sorted words
-    nf = _straighten({w: conv(c) for w, c in p.terms.items()}, table, zero)
+    nf = _straighten({w: conv(c) for w, c in p.terms.items()}, table)
     for i in range(1, g.dim + 1):
         comm = {}
         for w, c in nf.items():
             for word, s in (((i,) + w, c), (w + (i,), -c)):
                 comm[word] = comm[word] + s if word in comm else s
-        if _straighten(comm, table, zero):
+        if _straighten(comm, table):
             return False
     return True

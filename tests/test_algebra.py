@@ -21,6 +21,8 @@ from lieinv import (
 )
 from lieinv.algebra import StructureError, derived_series, lower_central_series
 from lieinv.expr import expr_str, rational
+from lieinv.families import builtin_instances
+from test_acceptance import _jacobi_fails_oracle
 
 
 def heisenberg():
@@ -196,6 +198,63 @@ def oracle_jacobi_fails(g):
                 if any(not t.is_zero() for t in total):
                     return True
     return False
+
+
+def _cyclic_residuals(g):
+    """Every nonzero Jacobi cyclic sum over i < j < k through bracket_vectors."""
+    n = g.dim
+    basis = [[rational(1 if t == i else 0) for t in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [rational(0)] * n
+                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = g.bracket_vectors(basis[u], basis[v])
+                    total = [a + b for a, b in zip(total, g.bracket_vectors(inner, basis[w]))]
+                res = {t + 1: expr_str(c) for t, c in enumerate(total) if not c.is_zero()}
+                if res:
+                    out.append((i + 1, j + 1, k + 1, res))
+    return out
+
+
+def _random_semidirect(rng, n):
+    """An abelian ideal e1..e_{n-1} acted on by e_n through a random matrix."""
+    entries = {}
+    for j in range(1, n):
+        col = {k: rng.randint(-2, 2) for k in range(1, n) if rng.random() < 0.5}
+        entries[(n, j)] = col
+    return lie_algebra(n, entries)
+
+
+class TestJacobiDefectsDifferential:
+    def test_matches_cyclic_sums_on_random_algebras(self):
+        rng = random.Random(1511)
+        pool = [inst.algebra for inst in builtin_instances() if inst.algebra.dim <= 7]
+        flagged = clean = 0
+        for trial in range(120):
+            if trial % 3 == 0:
+                g = _random_semidirect(rng, rng.randint(3, 6))
+            else:
+                g = rng.choice(pool)
+            if trial % 2:
+                # perturb one structure constant, by a parameter half the time
+                entries = {ij: dict(row) for ij, row in g.brackets.items()}
+                i = rng.randint(1, g.dim - 1)
+                j = rng.randint(i + 1, g.dim)
+                k = rng.randint(1, g.dim)
+                delta = param("b") if rng.random() < 0.5 else rational(rng.choice([-1, 1, 2]))
+                row = entries.setdefault((i, j), {})
+                row[k] = row.get(k, rational(0)) + delta
+                g = lie_algebra(g.dim, entries, params=g.params + ("b",))
+            defects = jacobi_defects(g)
+            got = [(i, j, k, {t: expr_str(c) for t, c in res.items()}) for i, j, k, res in defects]
+            assert got == _cyclic_residuals(g), g.name
+            assert bool(defects) is _jacobi_fails_oracle(g), g.name
+            assert len(validate(g)) == len(defects)
+            flagged += bool(defects)
+            clean += not defects
+        assert flagged > 20 and clean > 20
 
 
 class TestSeriesAndClasses:

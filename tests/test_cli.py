@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -67,6 +68,74 @@ T0_RUN_TAILS = {
         "x5*x6*x9*x10*x13)/(x3*x5*x9*x11 - x3*x6*x9*x10 - x4*x5*x8*x11 + x4*x6*x8*x10) "
         "!= 0; (x4*x5*x11 - x4*x6*x10)/(x3*x6) != 0; (x5^2*x11 - x5*x6*x10)/(x4*x6) != "
         "0\n"
+    ),
+}
+
+# sha256 of the stdout of `--seed 1 family ARGS --run` for the 21 mid-sized
+# solvable instances (J0, s1-s4, the mixed Jordan/rotation rows and g6.38).
+SOLVABLE_RUN_SHA256 = {
+    "jordan --blocks jordan,0,5": (
+        "df3860c5a286f337c1e336b288d0cbeff8a49e80db5cd99643555ec86fde8685"
+    ),
+    "jordan --blocks jordan,0,7": (
+        "1066586d078d54d6a2cf69a56d74c2dd1d70c3add6326ebe885da1ff0a1ee6bd"
+    ),
+    "jordan --blocks jordan,0,9": (
+        "aa21ae7d11832e0b2a4bdff66d02d90cd7159bfb891400fc15be0f3b5e61571c"
+    ),
+    "jordan --blocks jordan,0,11": (
+        "3aa8b4919842ef9d67ee1e53bdae71aae453d4db8165d524bd3ef674179dace2"
+    ),
+    "jordan --blocks jordan,0,13": (
+        "91795fca6fbc5635bf0624a54e9dc45d48f95b8083c57ba54401d130a520ead5"
+    ),
+    "s1 --n 6 --alpha 1 --beta 0": (
+        "0776396a26ec7510761006858f83277a63713d0576c6736f2d9faa68d3446e51"
+    ),
+    "s1 --n 6 --alpha 0 --beta 1": (
+        "cf8a435d93fd5b7431f3046a163554493ac704b348f985bcb9294c90bfb6cdf7"
+    ),
+    "s2 --n 6": (
+        "49b35b5331d8def9de3f7e0239207fab286d2373478cf7017b22902caf9ea727"
+    ),
+    "s3 --n 6": (
+        "b7d02d03e3b3391745a42b0c65a32ae59032613c3320dd06279fb2a55d1830dd"
+    ),
+    "s4 --n 6": (
+        "4630fa054748170111870c0a6552c164784b3feb5d72b133736a7de630cd8a71"
+    ),
+    "s1 --n 8 --alpha 1 --beta 0": (
+        "3e88a263afd0234a58662625c47cc5a06ee387e20349e83e86473724494958bb"
+    ),
+    "s1 --n 8 --alpha 0 --beta 1": (
+        "c908e5abb09394bea97b8607b710f5f210c7a61556610ce42bd0773ac674ca44"
+    ),
+    "s2 --n 8": (
+        "e4d90096b27ff6529a16913ce5c15aa6b0b54b6df8e35ad0e5b155f270592423"
+    ),
+    "s3 --n 8": (
+        "9a59a6019e97a38580275028b89feb168efb8d817b006854cbc373d05e668211"
+    ),
+    "s4 --n 8": (
+        "6867c9ff3ac411e579e45f82d6bc4580063c38e3ac505d960454c95599dc1697"
+    ),
+    "jordan --blocks jordan,1,2;real,1,1,2": (
+        "beb1f612bb490ab6ebbabac3b77ca9dd2fdcbd2af33ca2e79b514e1b4d60ebd3"
+    ),
+    "jordan --blocks jordan,1,1;real,1,1,1": (
+        "eb8c7678030902c101a120c4522a57d0639cc9146c787d63dda4e7194630d6c4"
+    ),
+    "jordan --blocks real,1,1,2;real,1,2,2": (
+        "1fe98235cf89b89b281fa88e05672dbccc04f8cb49a758aafd6af5b469118e5f"
+    ),
+    "jordan --blocks real,1,1,1;real,1,2,1": (
+        "c43a0972ca6679c12c34b7347ad31bfc43608e5b675ae5ede7078909e97f269d"
+    ),
+    "g6_38 --a 0": (
+        "1487590d045039f05cf9026d2ada857a7559b159a21e77183051c098bb397ecc"
+    ),
+    "g6_38": (
+        "ac7102e61a6835111a580dcc1c73d5ff6860835eb8a74e513510c31a3e0dc9aa"
     ),
 }
 
@@ -343,6 +412,12 @@ class TestFamily:
         printed = [parse_expr(line[4:]) for line in lines[at + 1:at + 4]]
         inst = make_t0(7)
         assert functionally_equivalent(printed, inst.expected_invariants, inst.algebra, seed=7)
+
+    @pytest.mark.parametrize("args", list(SOLVABLE_RUN_SHA256))
+    def test_solvable_run_stdout_is_pinned(self, args):
+        code, out, _ = run(["--seed", "1", "family", *args.split(), "--run"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVABLE_RUN_SHA256[args]
 
     def test_invalid_block_spec_is_usage_error(self):
         code, _, err = run(["family", "jordan", "--blocks", "jordan,0,1"])

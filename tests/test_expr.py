@@ -282,6 +282,21 @@ class TestSubstituteEvaluate:
         assert val == Fraction(5, 2)
         assert isinstance(val, Fraction)
 
+    def test_evaluate_takes_generator_and_exponential_values(self):
+        f = X1 * cos_of(T1) + exp_of(rational(2) * T1) / sin_of(T1)
+        (ep,) = f.exp_parts()
+        c = next(a for a in f.generator_atoms() if a.head == "cos")
+        s = next(a for a in f.generator_atoms() if a.head == "sin")
+        point = {coord_atom(1): Fraction(3), c: Fraction(3, 5), s: Fraction(4, 5), ep: Fraction(7)}
+        assert evaluate(f, point) == 3 * Fraction(3, 5) + 7 / Fraction(4, 5)
+        del point[ep]
+        with pytest.raises(KernelError, match="cannot numerically evaluate an exponential factor"):
+            evaluate(f, point)
+        with pytest.raises(KernelError, match=r"cannot numerically evaluate cos\(th1\)"):
+            evaluate(X1 * cos_of(T1), {coord_atom(1): Fraction(1)})
+        with pytest.raises(KernelError, match="no value for x2"):
+            evaluate(X1 * X2, {coord_atom(1): Fraction(1)})
+
     def test_evaluate_at_pole_raises(self):
         with pytest.raises(SingularPoint):
             evaluate(X2 / X1, {coord_atom(1): Fraction(0), coord_atom(2): Fraction(3)})

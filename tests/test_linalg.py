@@ -1,13 +1,17 @@
-"""Exact symbolic linear algebra over the expression field."""
+"""Exact linear algebra over the expression field and over Q."""
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieinv.expr import (
     EXPR_ONE,
     EXPR_ZERO,
+    KernelError,
     coord,
     evaluate,
     expr_str,
@@ -21,7 +25,6 @@ from lieinv.linalg import (
     inverse_exprs,
     nullspace_exprs,
     rank_exprs,
-    rank_rational,
     rational_roots,
     rref_exprs,
 )
@@ -146,7 +149,7 @@ class TestEchelonRankNullspace:
                 [sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)]
                 for i in range(n)
             ]
-            assert rank_rational(frac_prod) == rank_exprs(prod)
+            assert rank_exprs(frac_prod) == rank_exprs(prod)
 
     def test_rref_reports_divisor_assumptions(self):
         rows = [[param("a"), rational(1)], [rational(0), rational(1)]]
@@ -194,3 +197,78 @@ class TestCharpolyRoots:
             for c in coeffs:
                 acc = acc.mul(m).add(Matrix.identity(3).scale(c))
             assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# one elimination for both fields, against sympy
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Fraction)
+
+
+@st.composite
+def fraction_rows(draw, nrows=None, ncols=None):
+    nr = nrows or draw(st.integers(1, 4))
+    nc = ncols or draw(st.integers(1, 4))
+    return [[draw(ENTRIES) for _ in range(nc)] for _ in range(nr)]
+
+
+def as_exprs(rows):
+    return [[rational(v) for v in row] for row in rows]
+
+
+def from_exprs(rows):
+    return [[v.as_fraction() for v in row] for row in rows]
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+def from_sympy(rows):
+    return [[Fraction(int(v.p), int(v.q)) for v in row] for row in rows]
+
+
+def all_fractions(rows):
+    return all(isinstance(v, Fraction) for row in rows for v in row)
+
+
+class TestBothFieldsAgainstSympy:
+    @settings(max_examples=80, deadline=None)
+    @given(fraction_rows())
+    def test_rank_and_nullspace(self, rows):
+        ref = to_sympy(rows)
+        assert rank_exprs(rows) == rank_exprs(as_exprs(rows)) == ref.rank()
+        want = from_sympy([list(v) for v in ref.nullspace()])
+        frac = nullspace_exprs(rows)
+        assert all_fractions(frac) and frac == want
+        assert from_exprs(nullspace_exprs(as_exprs(rows))) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: fraction_rows(n, n)))
+    def test_inverse(self, rows):
+        ref = to_sympy(rows)
+        if ref.det() == 0:
+            for mat in (Matrix(rows), Matrix(as_exprs(rows))):
+                with pytest.raises(KernelError):
+                    inverse_exprs(mat)
+            return
+        want = from_sympy(ref.inv().tolist())
+        frac = [list(row) for row in inverse_exprs(Matrix(rows)).rows]
+        assert all_fractions(frac) and frac == want
+        assert from_exprs(inverse_exprs(Matrix(as_exprs(rows))).rows) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda s: st.tuples(fraction_rows(s[0], s[1]), fraction_rows(s[1], s[2]))
+    ))
+    def test_mul_and_row_vector_times(self, pair):
+        a, b = pair
+        want = from_sympy((to_sympy(a) * to_sympy(b)).tolist())
+        frac = [list(row) for row in Matrix(a).mul(Matrix(b)).rows]
+        assert all_fractions(frac) and frac == want
+        assert from_exprs(Matrix(as_exprs(a)).mul(Matrix(as_exprs(b))).rows) == want
+        row = Matrix(b).row_vector_times(a[0])
+        assert all_fractions([row]) and row == want[0]
+        assert from_exprs([Matrix(as_exprs(b)).row_vector_times(as_exprs(a)[0])]) == want[:1]
+        eye = Matrix.identity(len(b), Fraction(1))
+        assert eye.mul(Matrix(b)) == Matrix(b)
