@@ -45,7 +45,7 @@ from .families import (
 from .frame import RecipeNeeded, lifted_invariants
 from .io import ParseError, expr_latex, parse_expr, load_algebra, render_algebra
 from .normalize import eliminate, rescale_to_polynomial
-from .verify import check_invariant, is_central
+from .verify import check_all, check_invariant, is_central
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -348,7 +348,7 @@ def cmd_family(args):
         return EXIT_USAGE
     g = inst.algebra
     doc = render_algebra(g)
-    checks = [check_invariant(g, f) for f in inst.expected_invariants]
+    checks = check_all(g, inst.expected_invariants)
     verified = all(c.ok for c in checks)
     report = {
         "family": args.name,

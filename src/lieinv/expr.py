@@ -1347,13 +1347,21 @@ def _diff_atom(a, atom):
     du = differentiate(a.data, atom)
     if du.is_zero():
         return EXPR_ZERO
+    on, od = outer_derivative(a)
+    return make_expr(on.mul(du.num), od.mul(du.den))
+
+
+def outer_derivative(a):
+    """d head(u)/du of a generator atom a = head(u), as a (num, den) pair of polynomials."""
+    u = a.data
     if a.head == "log":
-        return du / a.data
+        return u.den, u.num
     if a.head == "atan":
-        return du / (EXPR_ONE + a.data * a.data)
+        sq = u.den.mul(u.den)
+        return sq, sq.add(u.num.mul(u.num))
     if a.head == "cos":
-        return -sin_of(a.data) * du
-    return cos_of(a.data) * du
+        return sin_of(u).num.neg(), POLY_ONE
+    return cos_of(u).num, POLY_ONE
 
 
 def substitute(f, mapping):

@@ -248,29 +248,14 @@ def charpoly_exprs(mat):
     a = mat.rows
     poly = [EXPR_ONE, -a[0][0]]
     for k in range(1, n):
-        row = a[k][:k]
-        col = [a[i][k] for i in range(k)]
-        corner = a[k][k]
-        svals = []
-        vec = list(col)
-        for i in range(k):
-            acc = EXPR_ZERO
-            for t in range(k):
-                if row[t].is_zero() or vec[t].is_zero():
-                    continue
-                acc = acc + row[t] * vec[t]
-            svals.append(acc)
-            if i < k - 1:
-                nxt = []
-                for r in range(k):
-                    tot = EXPR_ZERO
-                    for t in range(k):
-                        if a[r][t].is_zero() or vec[t].is_zero():
-                            continue
-                        tot = tot + a[r][t] * vec[t]
-                    nxt.append(tot)
-                vec = nxt
-        first = [EXPR_ONE, -corner] + [-s for s in svals]
+        # vecs[i] = A_k^i col for the leading k x k block A_k (A_k v = v A_k^T)
+        block_t = Matrix([[a[r][t] for r in range(k)] for t in range(k)])
+        vecs = [[a[i][k] for i in range(k)]]
+        for _ in range(k - 1):
+            vecs.append(block_t.row_vector_times(vecs[-1]))
+        # svals[i] = row . vecs[i], the columns of the matrix with rows zip(*vecs)
+        svals = Matrix(zip(*vecs)).row_vector_times(a[k][:k])
+        first = [EXPR_ONE, -a[k][k]] + [-s for s in svals]
         out = []
         for i in range(k + 2):
             acc = EXPR_ZERO

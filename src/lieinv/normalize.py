@@ -54,7 +54,7 @@ from .expr import (
     substitute,
 )
 from .linalg import rank_exprs
-from .verify import check_invariant
+from .verify import check_all
 
 
 @dataclass
@@ -435,12 +435,11 @@ def eliminate(lifted):
         else:
             survivors.append(f)
     g = lifted.algebra
-    for f in survivors:
-        report = check_invariant(g, f)
+    for f, report in zip(survivors, check_all(g, survivors)):
         if not report.ok:
             raise KernelError(
-                "internal error: eliminated expression fails annihilation: %s"
-                % f.skey()
+                "internal error: eliminated expression fails annihilation by generators %s: %s"
+                % (report.failing(), f.skey())
             )
     return EliminationResult(
         invariants=survivors,

@@ -3,6 +3,8 @@
 import contextlib
 import io
 
+import pytest
+
 from lieinv import (
     builtin_instances,
     check_invariant,
@@ -15,7 +17,7 @@ from lieinv import (
     rescale_to_polynomial,
 )
 from lieinv.cli import EXIT_OK, main as cli_main
-from lieinv.expr import expr_str, theta, theta_atom
+from lieinv.expr import EXPR_ZERO, KernelError, expr_str, theta, theta_atom
 from lieinv.families import make_g6_38, make_jordan, make_s1, make_s4
 from test_acceptance import PAIR_ROWS
 
@@ -69,6 +71,18 @@ class TestBasicElimination:
             assert res.complete
             for f in res.invariants:
                 assert check_invariant(inst.algebra, f).ok
+
+
+    def test_annihilation_failure_names_the_generators(self, monkeypatch):
+        from lieinv import normalize
+        from lieinv.verify import InvariantCheck
+
+        def failing(g, exprs):
+            return [InvariantCheck(False, [EXPR_ZERO, coord(3), EXPR_ZERO]) for _ in exprs]
+
+        monkeypatch.setattr(normalize, "check_all", failing)
+        with pytest.raises(KernelError, match=r"annihilation by generators \[2\]: x3$"):
+            eliminate(lifted_invariants(heisenberg()))
 
 
 class TestChainFamilyOracles:

@@ -8,11 +8,14 @@ from fractions import Fraction
 import pytest
 
 from lieinv import (
+    LieAlgebra,
     check_all,
     check_invariant,
     coord,
+    eliminate,
     is_central,
     lie_algebra,
+    lifted_invariants,
     pbw_normal_form,
     rational,
     symmetrize,
@@ -28,7 +31,20 @@ from lieinv.expr import (
     param,
 )
 from lieinv.families import builtin_instances, make_g6_38, make_jordan, make_t0
+from lieinv.io import parse_algebra
 from lieinv.verify import NCPoly
+from test_acceptance import PAIR_ROWS
+
+# structure constants with a parameter denominator, so the coadjoint fields
+# are quotients; its one invariant is x4*exp(-1/2*log(x3)/(a + 1/2))
+PARAMETER_DENOMINATORS = """dim 5
+param a
+[1,2] = 1/(a+1)*e3
+[1,5] = e1
+[2,5] = a/(a+1)*e2
+[3,5] = (2*a+1)/(a+1)*e3
+[4,5] = 1/(a+1)*e4
+"""
 
 
 def heisenberg():
@@ -181,6 +197,28 @@ class TestCheckInvariant:
         out = check_all(h, [coord(3), coord(1)])
         assert [c.ok for c in out] == [True, False]
 
+    def test_check_all_builds_the_fields_once(self, monkeypatch):
+        inst = make_jordan([("real", 1, 1, 2)])
+        g = inst.algebra
+        fs = [h for f in inst.expected_invariants for h in (f, f + coord(1), f * coord(2))]
+        singles = [check_invariant(g, f) for f in fs]
+        calls = []
+        fields = LieAlgebra.coadjoint_fields
+
+        def counted(self):
+            calls.append(self)
+            return fields(self)
+
+        monkeypatch.setattr(LieAlgebra, "coadjoint_fields", counted)
+        batch = check_all(g, fs)
+        assert calls == [g]
+
+        def summary(reports):
+            return [(r.ok, [expr_str(x) for x in r.residuals]) for r in reports]
+
+        assert summary(batch) == summary(singles)
+        assert [r.ok for r in batch] == [True, False, False] * len(inst.expected_invariants)
+
     def test_derivation_property_on_invariant_pairs(self):
         # sums/products/powers of verified invariants remain invariants
         rng = random.Random(47)
@@ -288,10 +326,17 @@ def symmetrize_outcome(symmetrizer, f):
 class TestAgainstReference:
     def test_residuals_of_every_builtin_invariant(self):
         rng = random.Random(5)
-        for inst in builtin_instances():
-            g = inst.algebra
+        cases = [(inst.algebra, inst.expected_invariants) for inst in builtin_instances()]
+        # elimination survivors of the rotation rows: long exp/atan invariants
+        for blocks in PAIR_ROWS:
+            if any(b[0] == "real" for b in blocks):
+                inst = make_jordan(blocks)
+                cases.append((inst.algebra, eliminate(inst.lifted()).invariants))
+        g = parse_algebra(PARAMETER_DENOMINATORS)
+        cases.append((g, eliminate(lifted_invariants(g)).invariants))
+        for g, invariants in cases:
             js = non_central_coordinates(g)
-            for f in inst.expected_invariants:
+            for f in invariants:
                 for h in (f, f + coord(rng.choice(js))):
                     got = [expr_str(r) for r in check_invariant(g, h).residuals]
                     assert got == reference_residuals(g, h), (g.name, expr_str(h))
