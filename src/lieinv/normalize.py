@@ -1,21 +1,27 @@
 """Normalization: eliminate frame parameters from the lifted invariants.
 
 The active set starts as the lifted invariants.  Each round scans the set in
-order and tries, per expression, three pivot patterns for each remaining
-frame parameter th (lowest index first):
+order for a pivot: an entry and a frame parameter th (lowest index first)
+that one of two rules solves for.  Both rules read where th sits in an
+entry, as a set of (side, kind) places: side is the numerator or the
+denominator, kind is an explicit power, a log/atan/cos/sin argument, an exp
+part's generator term, a linear exp base or another exp base.  A round finds
+the places of each entry and th at most once.
 
-* linear: the expression is exp(w) * (A*th + B) / D with A, B, D free of th
-  (w may be anything, an exponential never vanishes).  Normalize to 0 and
-  substitute th = -B/A everywhere.
-* exponential unknown: the expression is (V*exp(w) + W) / D where w carries
-  th linearly and V, W, D are free of th, and everywhere else th occurs only
-  linearly inside exponential bases.  Normalize to 1; the whole exponential
-  direction is replaced, exp parts picking up rational-function multiples of
-  log(solution).
-* logarithmic: the expression is exp(w) * V / D with V, D free of th and w
-  carrying th linearly; th itself is solved as a combination of logarithms
-  and substituted, so polynomial occurrences of th become logarithmic terms.
-  Requires th to stay out of cos/sin/atan arguments.
+* linear: all numerator monomials share one exp part exp(w), and th occurs
+  only in the numerator and never in a generator argument, so the
+  expression is exp(w) * (A*th + B) / D with A, B, D free of th (w may hold
+  th, an exponential never vanishes).  Normalize to 0 and substitute
+  th = -B/A everywhere.
+* exponential: th occurs only in linear exp bases of the numerator, so the
+  expression is (V*exp(c0*th + w') + W) / D with V, W, D, c0, w' free of th.
+  Normalize to 1.  The other entries' places choose the route.  When they
+  hold th only in linear exp bases, the whole exponential direction is
+  replaced: th = log(sol)/c0 with sol = (D - W)*exp(-w')/V, and exp parts
+  pick up rational-function multiples of log(sol).  Otherwise, when W = 0
+  and no other entry holds th in a generator argument or term, th itself is
+  solved as (log D - log V - w')/c0 and substituted, so polynomial
+  occurrences of th become logarithmic terms.
 
 When no pivot applies, a rotation pair is put in polar form.  The base pair
 is the first pair (Ei, Ej) of entries carrying cos/sin whose radius square
@@ -61,8 +67,6 @@ from .verify import check_all
 class PivotRecord:
     kind: str
     theta: object
-    label: str
-    constant: int
     solution: Expr
     assumptions: list
 
@@ -85,37 +89,30 @@ def _theta_atoms(f):
     return sorted((a for a in f.atoms() if a.head == "th"), key=lambda a: a.skey)
 
 
-def _occurs_in_generator_args(f, th):
-    for poly in (f.num, f.den):
+def _where(f, th):
+    """The places of th in f as (side, kind) pairs; empty exactly when f is free of th.
+
+    side is "num" or "den".  kind is "power" (an explicit power of th),
+    "arg" (inside a log/atan/cos/sin argument), "term" (inside an exp part's
+    generator term, atom or coefficient), "linear" (an exp base linear in th)
+    or "base" (any other exp base holding th).
+    """
+    places = set()
+    for side, poly in (("num", f.num), ("den", f.den)):
         for m in poly.terms:
             for a, _ in m.vars:
-                if a.is_generator and a.data.depends_on(th):
-                    return True
-            if m.ep is not None:
-                for ga, c in m.ep.terms:
-                    if ga.data.depends_on(th) or c.depends_on(th):
-                        return True
-    return False
-
-
-def _occurs_explicitly(f, th):
-    for poly in (f.num, f.den):
-        for m in poly.terms:
-            if m.exponent(th):
-                return True
-    return False
-
-
-def _ep_bases_linear(f, th):
-    """True when every exp-part base of f is at most linear in th."""
-    for poly in (f.num, f.den):
-        for m in poly.terms:
+                if a == th:
+                    places.add((side, "power"))
+                elif a.is_generator and a.data.depends_on(th):
+                    places.add((side, "arg"))
             if m.ep is None:
                 continue
-            base = m.ep.base
-            if base.den.degree_in(th) or base.num.degree_in(th) > 1:
-                return False
-    return True
+            if any(g.data.depends_on(th) or c.depends_on(th) for g, c in m.ep.terms):
+                places.add((side, "term"))
+            degrees = (m.ep.base.num.degree_in(th), m.ep.base.den.degree_in(th))
+            if degrees != (0, 0):
+                places.add((side, "linear" if degrees == (1, 0) else "base"))
+    return places
 
 
 def _strip_common_ep(poly):
@@ -131,143 +128,69 @@ def _strip_common_ep(poly):
 
 def _linear_coefficient(base, th):
     """Coefficient of th in an expression linear in th (else None)."""
-    if base.den.degree_in(th):
+    if base.den.degree_in(th) or base.num.degree_in(th) > 1:
         return None
-    if base.num.degree_in(th) > 1:
-        return None
-    c = make_expr(base.num.coeff_in(th, 1), base.den)
-    return c
+    return make_expr(base.num.coeff_in(th, 1), base.den)
 
 
 # ---------------------------------------------------------------------------
-# pivot kinds
+# pivot rules: rule(f, th, places of th in f, the other entries' places)
+# returns (PivotRecord, substitution) or None; the other entries' places come
+# as a generator, so a rule that never reads them costs no walk.
 
 
-def _try_linear(f, th, label, others):
+def _substituting(th, value):
+    return lambda h: substitute(h, {th: value})
+
+
+def _linear(f, th, at, others):
+    if any(side == "den" or kind == "arg" for side, kind in at):
+        return None
     stripped = _strip_common_ep(f.num)
-    if stripped is None:
+    if stripped is None or stripped[0].degree_in(th) != 1:
         return None
-    num, _ = stripped
-    if num.degree_in(th) != 1 or f.den.degree_in(th) != 0:
-        return None
-    body = make_expr(num, POLY_ONE)
-    den_body = make_expr(f.den, POLY_ONE)
-    if _occurs_in_generator_args(body, th) or _occurs_in_generator_args(den_body, th):
-        return None
-    for m in num.terms:
-        if m.ep is not None and m.ep.base.depends_on(th):
-            return None
-    for m in f.den.terms:
-        if m.ep is not None and m.ep.base.depends_on(th):
-            return None
+    num = stripped[0]
     a = make_expr(num.coeff_in(th, 1), f.den)
-    if a.is_zero():
+    sol = -(make_expr(num.coeff_in(th, 0), f.den) / a)
+    return PivotRecord("linear", th, sol, [a]), _substituting(th, sol)
+
+
+_LINEAR_BASES = {("num", "linear"), ("den", "linear")}
+
+
+def _exponential(f, th, at, others):
+    if at != {("num", "linear")}:
         return None
-    b = make_expr(num.coeff_in(th, 0), f.den)
-    sol = -(b / a)
-    record = PivotRecord("linear", th, label, 0, sol, [a])
-    return record, lambda h: substitute(h, {th: sol})
-
-
-def _exp_shape(f, th):
-    """Split f.num into (V, w0, W) for the exponential patterns, or None.
-
-    V collects the monomials whose exp part depends on th (they must all
-    share the same exp part w0); W is the rest.  Both V and W must be free
-    of th in every other way, as must the denominator.
-    """
-    if f.den.degree_in(th):
-        return None
-    v_terms = {}
-    w_terms = {}
-    w0 = None
+    v, w, w0 = {}, {}, None
     for m, c in f.num.terms.items():
-        dep = m.ep is not None and (
-            m.ep.base.depends_on(th)
-            or any(g.data.depends_on(th) or cc.depends_on(th) for g, cc in m.ep.terms)
-        )
-        if dep:
-            if w0 is None:
-                w0 = m.ep
-            elif m.ep != w0:
-                return None
-            v_terms[m.with_ep(None)] = c
+        if m.ep is None or not m.ep.base.depends_on(th):
+            w[m] = c
+        elif w0 is None or m.ep == w0:
+            w0 = m.ep
+            v[m.with_ep(None)] = c
         else:
-            w_terms[m] = c
-        if m.exponent(th):
-            return None
-        if any(a.is_generator and a.data.depends_on(th) for a, _ in m.vars):
-            return None
-    if w0 is None:
-        return None
-    for g, cc in w0.terms:
-        if g.data.depends_on(th) or cc.depends_on(th):
-            return None
-    for m in f.den.terms:
-        if m.ep is not None and m.ep.base.depends_on(th):
-            return None
-        if any(a.is_generator and a.data.depends_on(th) for a, _ in m.vars):
             return None
     c0 = _linear_coefficient(w0.base, th)
-    if c0 is None or c0.is_zero() or c0.depends_on(th):
-        return None
-    v = make_poly(v_terms)
-    w = make_poly(w_terms)
-    return v, w0, c0, w
-
-
-def _try_exp_unknown(f, th, label, others):
-    shape = _exp_shape(f, th)
-    if shape is None:
-        return None
-    v, w0, c0, w = shape
-    # guard: everywhere else th may live only inside linear exponential bases
-    for h in others:
-        if not h.depends_on(th):
-            continue
-        if _occurs_explicitly(h, th) or _occurs_in_generator_args(h, th):
-            return None
-        if not _ep_bases_linear(h, th):
-            return None
-    th_expr = from_atom(th)
-    w_rest = w0.as_expr() - c0 * th_expr
-    v_expr = make_expr(v, POLY_ONE)
-    w_expr = make_expr(w, POLY_ONE)
+    w_rest = w0.as_expr() - c0 * from_atom(th)
+    v_expr = make_expr(make_poly(v), POLY_ONE)
     d_expr = make_expr(f.den, POLY_ONE)
-    numer = d_expr - w_expr
-    if numer.is_zero():
+    others = list(others)
+    if all(p <= _LINEAR_BASES for p in others):
+        # exp(c'*th + rest) becomes exp((c'/c0)*log(sol) + rest)
+        numer = d_expr - make_expr(make_poly(w), POLY_ONE)
+        try:
+            sol = numer * exp_of(-w_rest) / v_expr
+            th_sol = log_of(sol) / c0  # log_of(0) raises: numer = 0 falls through
+            return PivotRecord("exp", th, sol, [v_expr, numer]), _substituting(th, th_sol)
+        except KernelError:
+            pass
+    if w or any(kind in ("arg", "term") for p in others for _, kind in p):
         return None
-    try:
-        sol = numer * exp_of(-w_rest) / v_expr
-        th_sol = log_of(sol) / c0
-    except KernelError:
-        return None
-    record = PivotRecord("exp", th, label, 1, sol, [v_expr, numer])
-    # exp(c'*th + rest) becomes exp((c'/c0)*log(sol) + rest)
-    return record, lambda h: substitute(h, {th: th_sol})
-
-
-def _try_exp_log(f, th, label, others):
-    shape = _exp_shape(f, th)
-    if shape is None:
-        return None
-    v, w0, c0, w = shape
-    if not w.is_zero:
-        return None
-    # guard: th must stay out of generator arguments everywhere
-    for h in others:
-        if h.depends_on(th) and _occurs_in_generator_args(h, th):
-            return None
-    th_expr = from_atom(th)
-    w_rest = w0.as_expr() - c0 * th_expr
-    v_expr = make_expr(v, POLY_ONE)
-    d_expr = make_expr(f.den, POLY_ONE)
     try:
         sol = (log_of(d_expr) - log_of(v_expr) - w_rest) / c0
     except KernelError:
         return None
-    record = PivotRecord("exp-log", th, label, 1, sol, [v_expr, d_expr, c0])
-    return record, lambda h: substitute(h, {th: sol})
+    return PivotRecord("exp-log", th, sol, [v_expr, d_expr, c0]), _substituting(th, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +306,24 @@ def eliminate(lifted):
     poisoned = set()
 
     def find_pivot():
-        for kind_fn in (_try_linear, _try_exp_unknown, _try_exp_log):
-            for label, f in active:
-                if f.is_zero():
-                    continue
-                thetas = _theta_atoms(f)
-                if not thetas:
-                    continue
-                others = [h for (l2, h) in active if l2 != label]
+        places = {}  # (label, th) -> _where, for this round only
+
+        def where(label, f, th):
+            if (label, th) not in places:
+                places[label, th] = _where(f, th)
+            return places[label, th]
+
+        scan = [(label, f, _theta_atoms(f)) for label, f in active if not f.is_zero()]
+        for rule in (_linear, _exponential):
+            for label, f, thetas in scan:
                 for th in thetas:
-                    if (label, kind_fn.__name__, th.skey) in poisoned:
+                    key = (label, rule.__name__, th.skey)
+                    if key in poisoned:
                         continue
-                    hit = kind_fn(f, th, label, others)
+                    others = (where(l2, h, th) for l2, h in active if l2 != label)
+                    hit = rule(f, th, where(label, f, th), others)
                     if hit is not None:
-                        return hit, (label, kind_fn.__name__, th.skey)
+                        return hit, key
         return None, None
 
     while True:
@@ -467,27 +394,23 @@ def rescale_to_polynomial(exprs):
     out = []
     notes = []
     for f in exprs:
-        if f.den.is_one:
-            out.append(f)
-            continue
-        cleared = None
-        for s in candidates:
-            cand = f
-            for _ in range(12):
-                if cand.den.is_one:
-                    cleared = cand
-                    break
-                cand = cand * s
-            if cand.den.is_one:
-                cleared = cand
-            if cleared is not None:
-                break
-        if cleared is not None:
-            out.append(cleared)
-        else:
-            out.append(f)
+        cleared = f if f.den.is_one else _clear_denominator(f, candidates)
+        if cleared is None:
+            cleared = f
             notes.append("could not clear denominator of %s" % f.skey())
+        out.append(cleared)
     return out, notes
+
+
+def _clear_denominator(f, candidates):
+    """f * s**k for the first candidate s and least k <= 12 without denominator, else None."""
+    for s in candidates:
+        cand = f
+        for _ in range(12):
+            cand = cand * s
+            if cand.den.is_one:
+                return cand
+    return None
 
 
 def functionally_equivalent(first, second, g, seed=0, trials=6, param_point=None):

@@ -16,8 +16,18 @@ from lieinv import (
     rank_coadjoint,
     rescale_to_polynomial,
 )
+from lieinv import normalize
 from lieinv.cli import EXIT_OK, main as cli_main
-from lieinv.expr import EXPR_ZERO, KernelError, expr_str, theta, theta_atom
+from lieinv.expr import (
+    EXPR_ZERO,
+    KernelError,
+    atan_of,
+    exp_of,
+    expr_str,
+    log_of,
+    theta,
+    theta_atom,
+)
 from lieinv.families import make_g6_38, make_jordan, make_s1, make_s4
 from test_acceptance import PAIR_ROWS
 
@@ -74,7 +84,6 @@ class TestBasicElimination:
 
 
     def test_annihilation_failure_names_the_generators(self, monkeypatch):
-        from lieinv import normalize
         from lieinv.verify import InvariantCheck
 
         def failing(g, exprs):
@@ -83,6 +92,78 @@ class TestBasicElimination:
         monkeypatch.setattr(normalize, "check_all", failing)
         with pytest.raises(KernelError, match=r"annihilation by generators \[2\]: x3$"):
             eliminate(lifted_invariants(heisenberg()))
+
+
+def _linear(f, th, others):
+    return normalize._linear(
+        f, th, normalize._where(f, th), [normalize._where(h, th) for h in others]
+    )
+
+
+def _exponential(f, th, others):
+    return normalize._exponential(
+        f, th, normalize._where(f, th), [normalize._where(h, th) for h in others]
+    )
+
+
+_x1, _x2, _x3, _x4 = (coord(i) for i in range(1, 5))
+_th1, _th2 = theta(1), theta(2)
+
+# (rule, entry, the other entries, pivot kind and solution or None); th1 is pivoted
+PIVOT_ROWS = [
+    ("common exp factor", _linear, exp_of(_th1) * (_x1 * _th1 + _x2), [], ("linear", "-1*x2/x1")),
+    ("exp generator term", _linear, exp_of(_th1 * log_of(_x3)) * (_x1 * _th1 + _x2), [],
+     ("linear", "-1*x2/x1")),
+    ("log argument", _linear, _x1 * _th1 + log_of(_x2 + _th1), [], None),
+    ("atan argument", _exponential, exp_of(_th1) * _x1 + atan_of(_x2 * _th1), [], None),
+    ("explicit power", _exponential, exp_of(_th1) * (_x1 + _th1), [], None),
+    ("linear: theta in denominator", _linear, (_x1 * _th1 + _x2) / (_x3 + _th1), [], None),
+    ("exp: theta in denominator", _exponential, exp_of(_th1) * _x1 / (_x2 + _th1), [], None),
+    ("quadratic in theta", _linear, _x1 * _th1 ** 2 + _x2, [], None),
+    ("exp route", _exponential, exp_of(_th1) * _x1 + _x2, [exp_of(2 * _th1) * _x3 + _x4],
+     ("exp", "(-1*x2 + 1)/x1")),
+    ("W = 0, explicit theta elsewhere", _exponential, exp_of(_th1) * _x1,
+     [_x2 * _th1 ** 2 + _x3], ("exp-log", "-1*log(x1)")),
+    ("W != 0, explicit theta elsewhere", _exponential, exp_of(_th1) * _x1 + _x2,
+     [_x2 * _th1 ** 2 + _x3], None),
+    ("W = 0, theta in a log argument elsewhere", _exponential, exp_of(_th1) * _x1,
+     [log_of(_x2 + _th1)], None),
+    ("W = 0, theta in an exp generator term elsewhere", _exponential, exp_of(_th1) * _x1,
+     [exp_of(_th1 * log_of(_x2)) * _x3], None),
+    ("quadratic exp base elsewhere", _exponential, exp_of(_th1) * _x1 + _x2,
+     [exp_of(_th1 ** 2) * _x3], None),
+    ("W = 0, quadratic exp base elsewhere", _exponential, exp_of(_th1) * _x1,
+     [exp_of(_th1 ** 2) * _x3], ("exp-log", "-1*log(x1)")),
+    ("other theta only", _exponential, exp_of(_th2) * _x1 + _x2, [], None),
+]
+
+
+class TestPivotRules:
+    @pytest.mark.parametrize(
+        "rule, f, others, want", [row[1:] for row in PIVOT_ROWS], ids=[row[0] for row in PIVOT_ROWS]
+    )
+    def test_pivot_rule_table(self, rule, f, others, want):
+        hit = rule(f, theta_atom(1), others)
+        got = None if hit is None else (hit[0].kind, expr_str(hit[0].solution))
+        assert got == want
+
+    def test_log_route_end_to_end(self, tmp_path):
+        doc = tmp_path / "log_route.lie"
+        doc.write_text("dim 4\n[1,4] = -e1\n[2,4] = e1\n[3,4] = 2*e1 - e2\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["invariants", str(doc)])
+        assert code == EXIT_OK
+        assert out.getvalue() == (
+            "invariants found: 2 (rank 2, expected 2)\n"
+            "  x1 + x2 - 1\n"
+            "  -1*x1*log(x1) - x2*log(x1) + 3*x1 + x3 - 3\n"
+            "normalizations:\n"
+            "  th1 (linear) = (x1*th2 + 2*x1*th3 - x2*th3 + x4)/x1\n"
+            "  th4 (exp-log) = -1*log(x1)\n"
+            "generic assumptions: -1*x1 != 0; x1 != 0\n"
+            "verified against the coadjoint system: True\n"
+        )
 
 
 class TestChainFamilyOracles:
