@@ -573,12 +573,11 @@ def _content(p):
     """Signed rational content: p / content is primitive with positive lead."""
     if p.is_zero:
         return QONE
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    cont = Fraction(num, den)
+    coeffs = p.terms.values()
+    cont = Fraction(
+        math.gcd(*[c.numerator for c in coeffs]),
+        math.lcm(*[c.denominator for c in coeffs]),
+    )
     if p.lead()[1] < 0:
         cont = -cont
     return cont

@@ -7,10 +7,12 @@ frame parameters equals the coadjoint orbit dimension, which is checked
 against the structure-matrix rank.
 
 Exponentials are exact and computed one connected coordinate block of the
-adjoint matrix at a time: a scalar shift times a rotation with rational
-frequency times a finite nilpotent series, or a generalized eigenspace
-decomposition when the block's spectrum splits over the rationals.  Anything
-else (irrational or formal frequencies) raises RecipeNeeded.
+adjoint matrix at a time by one rule: a scalar shift times a rotation with
+rational frequency times a finite nilpotent series.  A block outside that
+rule is first split by a change of basis into the generalized eigenspaces of
+its rational eigenvalues and the kernel of the cofactor without rational
+roots, and each new block goes through the same rule.  Anything else
+(irrational or formal frequencies) raises RecipeNeeded.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ def exp_ad(mat, t):
     A block is mu*I + B with mu = tr/size, possibly formal.  When
     (B^2 + nu^2 I)^size = 0 for a rational nu >= 0, B = S + N with
     S^2 = -nu^2 I and N nilpotent, so the block is
-    exp(mu t) (cos(nu t) I + sin(nu t)/nu S) exp(t N).  Other blocks need a
-    spectrum that splits over the rationals; anything else raises
-    RecipeNeeded.
+    exp(mu t) (cos(nu t) I + sin(nu t)/nu S) exp(t N).  Other blocks are
+    split: the rational eigenvalues are taken off in generalized
+    eigenspaces, the rest is kept as one block for the same rule; a block
+    without a rational eigenvalue raises RecipeNeeded.
     """
     n = mat.nrows
     comp = list(range(n))
@@ -123,51 +126,36 @@ def _exp_block(block, t):
 
 
 def _exp_eigenspaces(mat, t):
-    """exp(t * mat) through generalized eigenspaces of a split spectrum."""
+    """exp(t * mat) = S exp_ad(S^-1 mat S, t) S^-1 over invariant subspaces.
+
+    The columns of S span one generalized eigenspace per rational root of
+    the characteristic polynomial, then the kernel of the cofactor without
+    rational roots, so S^-1 mat S is block diagonal.  Without a rational
+    root there is nothing to split, which ends the recursion.
+    """
     n = mat.nrows
     coeffs = charpoly_exprs(mat)
-    fracs = []
-    for c in coeffs:
-        if not c.is_rational():
-            raise RecipeNeeded(
-                "characteristic polynomial has non-constant coefficients"
-            )
-        fracs.append(c.as_fraction())
-    roots = rational_roots(fracs)
-    if roots is None:
+    if not all(c.is_rational() for c in coeffs):
+        raise RecipeNeeded("characteristic polynomial has non-constant coefficients")
+    roots, rest = rational_roots([c.as_fraction() for c in coeffs])
+    if not roots:
         raise RecipeNeeded("characteristic polynomial does not split rationally")
+    parts = [(mat.shift(rational(-lam)).power(mult), mult) for lam, mult in roots]
+    cofactor = Matrix.identity(n)
+    for c in rest[1:]:
+        cofactor = cofactor.mul(mat).shift(rational(c))
+    parts.append((cofactor, len(rest) - 1))
     columns = []
-    blocks = []
-    for lam, mult in roots:
-        shifted = mat.shift(rational(-lam))
-        powered = shifted.power(mult)
-        kernel = nullspace_exprs([list(r) for r in powered.rows])
-        if len(kernel) != mult:
+    for part, size in parts:
+        kernel = nullspace_exprs(part.rows)
+        if len(kernel) != size:
             raise KernelError("generalized eigenspace has unexpected dimension")
-        blocks.append((lam, len(kernel)))
         columns.extend(kernel)
     if len(columns) != n:
         raise KernelError("eigenspaces do not fill the space")
     s = Matrix(columns).transpose()
     s_inv = inverse_exprs(s)
-    triangular = s_inv.mul(mat).mul(s)
-    out_rows = [[EXPR_ZERO] * n for _ in range(n)]
-    offset = 0
-    for lam, size in blocks:
-        sub = [
-            [triangular.rows[offset + i][offset + j] for j in range(size)]
-            for i in range(size)
-        ]
-        nil = Matrix(sub).shift(rational(-lam))
-        eblock = exp_nilpotent(nil, t)
-        scalar = exp_of(rational(lam) * t)
-        for i in range(size):
-            for j in range(size):
-                v = eblock.rows[i][j]
-                if not v.is_zero():
-                    out_rows[offset + i][offset + j] = scalar * v
-        offset += size
-    return s.mul(Matrix(out_rows)).mul(s_inv)
+    return s.mul(exp_ad(s_inv.mul(mat).mul(s), t)).mul(s_inv)
 
 
 class FrameFactor:
@@ -184,26 +172,30 @@ class FrameFactor:
 
 
 class MovingFrame:
-    """Ordered factor list with a lazily materialized product matrix."""
+    """Ordered factor list; the lifted invariants are x . B(th)."""
 
-    __slots__ = ("algebra", "factors", "_matrix")
+    __slots__ = ("algebra", "factors")
 
     def __init__(self, algebra, factors):
         self.algebra = algebra
         self.factors = factors
-        self._matrix = None
 
     @property
     def thetas(self):
         return [f.theta for f in self.factors]
 
     def matrix(self):
-        if self._matrix is None:
-            acc = Matrix.identity(self.algebra.dim)
-            for f in self.factors:
-                acc = acc.mul(f.closed)
-            self._matrix = acc
-        return self._matrix
+        acc = Matrix.identity(self.algebra.dim)
+        for f in self.factors:
+            acc = acc.mul(f.closed)
+        return acc
+
+    def exprs(self):
+        """The row vector of lifted invariants x -> x . B(th)."""
+        row = [coord(i) for i in range(1, self.algebra.dim + 1)]
+        for f in self.factors:
+            row = f.closed.row_vector_times(row)
+        return row
 
     def det_formula(self):
         """det B = exp(sum_i sign_i th_i tr(ad_i)), computed factor-wise."""
@@ -231,33 +223,9 @@ def build_frame(g, signs=None):
     return MovingFrame(g, factors)
 
 
-class LiftedSet:
-    """The row vector of lifted invariants x -> x . B(th)."""
-
-    __slots__ = ("frame", "_exprs")
-
-    def __init__(self, frame):
-        self.frame = frame
-        self._exprs = None
-
-    @property
-    def algebra(self):
-        return self.frame.algebra
-
-    @property
-    def thetas(self):
-        return self.frame.thetas
-
-    def exprs(self):
-        if self._exprs is None:
-            n = self.algebra.dim
-            xs = [coord(i) for i in range(1, n + 1)]
-            self._exprs = self.frame.matrix().row_vector_times(xs)
-        return list(self._exprs)
-
-
 def lifted_invariants(g, signs=None):
-    return LiftedSet(build_frame(g, signs=signs))
+    """The frame of g, whose exprs() are the lifted invariants."""
+    return build_frame(g, signs=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +296,12 @@ def _rotation_power(c, s, m):
 
 
 def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
-    """Generic rank of d(lifted)/d(theta) by exact rational sampling.
+    """Generic rank of d(x . B)/d(theta) of the frame `lifted`, by exact sampling.
 
     Deterministic in seed; the maximum over the requested trials is
     returned.  This equals the coadjoint orbit dimension generically.
     """
-    frame = lifted.frame
-    g = frame.algebra
+    g = lifted.algebra
     n = g.dim
     rng = random.Random(seed)
     params = {}
@@ -344,15 +311,15 @@ def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
             params[a] = Fraction(param_point[a])
         else:
             params[a] = sample_fraction(rng)
-    ads = [f.ad.map(lambda v: evaluate(v, params)) for f in frame.factors]
+    ads = [f.ad.map(lambda v: evaluate(v, params)) for f in lifted.factors]
     best = 0
     for _ in range(max(1, trials)):
         xhat = [sample_fraction(rng) for _ in range(n)]
         try:
-            points = [_factor_point(f, params, rng) for f in frame.factors]
+            points = [_factor_point(f, params, rng) for f in lifted.factors]
             mats = [
                 f.closed.map(lambda v, pt=pt: evaluate(v, pt))
-                for f, pt in zip(frame.factors, points)
+                for f, pt in zip(lifted.factors, points)
             ]
         except SingularPoint:
             continue
@@ -362,7 +329,7 @@ def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
         suffix.reverse()
         rows = []
         prefix_vec = xhat
-        for i, f in enumerate(frame.factors):
+        for i, f in enumerate(lifted.factors):
             deriv = ads[i].row_vector_times(prefix_vec)
             if f.sign < 0:
                 deriv = [-v for v in deriv]

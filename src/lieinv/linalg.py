@@ -32,10 +32,6 @@ class Matrix:
             if len(r) != self.ncols:
                 raise KernelError("ragged matrix")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 
@@ -212,28 +208,9 @@ def inverse_exprs(mat):
 
 
 def det_exprs(mat):
-    n = mat.nrows
-    m = [list(r) for r in mat.rows]
-    det = EXPR_ONE
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return EXPR_ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        pv = m[c][c]
-        det = det * pv
-        for i in range(c + 1, n):
-            if m[i][c].is_zero():
-                continue
-            f = m[i][c] / pv
-            m[i] = [m[i][j] - f * m[c][j] if j >= c else m[i][j] for j in range(n)]
-    return det
+    """det(mat) = (-1)^n c_n from the division-free characteristic polynomial."""
+    cn = charpoly_exprs(mat)[-1]
+    return -cn if mat.nrows % 2 else cn
 
 
 def charpoly_exprs(mat):
@@ -273,18 +250,18 @@ def charpoly_exprs(mat):
 
 
 def rational_roots(coeffs):
-    """All roots with multiplicity of a monic rational polynomial.
+    """The rational roots with multiplicity of a monic rational polynomial.
 
-    coeffs: [1, c1, ..., cn] as Fractions.  Returns a list of
-    (root, multiplicity) pairs, or None when the polynomial does not split
-    over the rationals.
+    coeffs: [1, c1, ..., cn] as Fractions.  Returns (roots, rest): the sorted
+    (root, multiplicity) pairs and the monic cofactor without rational roots
+    as its coefficient list, [1] when the polynomial splits over Q.
     """
     work = [Fraction(c) for c in coeffs]
     roots = {}
     while len(work) > 1:
         root = _find_rational_root(work)
         if root is None:
-            return None
+            break
         roots[root] = roots.get(root, 0) + 1
         # synthetic division by (t - root)
         out = [work[0]]
@@ -294,18 +271,13 @@ def rational_roots(coeffs):
         if rem != 0:
             raise KernelError("inexact deflation")
         work = out
-    return sorted(roots.items())
+    return sorted(roots.items()), work
 
 
 def _find_rational_root(coeffs):
-    n = len(coeffs) - 1
-    if n == 0:
-        return None
     if coeffs[-1] == 0:
         return Fraction(0)
-    den = 1
-    for c in coeffs:
-        den = math.lcm(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     a0 = abs(ints[-1])
     an = abs(ints[0])

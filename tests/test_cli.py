@@ -32,6 +32,7 @@ REAL_DOC = (
 )
 IRRATIONAL_DOC = "dim 3\n[1,3] = e2\n[2,3] = -2*e1\n"
 COUPLED_DOC = "dim 3\n[1,3] = e1\n[2,3] = e1 + 2*e2\n"
+MIXED_DOC = "dim 4\n[1,4] = e1\n[2,4] = e1 + e2 - e3\n[3,4] = e2 + e3\n"
 
 # Output of `family t0 --n N --run` from its "# elimination:" line to the end.
 T0_RUN_TAILS = {
@@ -272,6 +273,23 @@ class TestLiftedAndInvariants:
         assert code == EXIT_OK
         assert "invariants found: 1 (rank 2, expected 1)\n" in out
         assert "  (-1*x1^2 + x1 + x2)/(x1^2)\n" in out
+
+    def test_mixed_spectrum_lifted(self, tmp_path):
+        # ad e4 has eigenvalues -1, -1 +- i in one block: the rational
+        # eigenspace is split off and the rotation rule takes the rest
+        p = tmp_path / "mixed.txt"
+        p.write_text(MIXED_DOC)
+        code, out, _ = run(["lifted", str(p)])
+        assert code == EXIT_OK
+        assert out == (
+            "frame parameters: th1, th2, th3, th4\n"
+            "I1 = x1*exp(-1*th4)\n"
+            "I2 = -1*x1*sin(th4)*exp(-1*th4) + x2*cos(th4)*exp(-1*th4)"
+            " + x3*sin(th4)*exp(-1*th4)\n"
+            "I3 = -1*x1*cos(th4)*exp(-1*th4) - x2*sin(th4)*exp(-1*th4)"
+            " + x3*cos(th4)*exp(-1*th4) + x1*exp(-1*th4)\n"
+            "I4 = x1*th1 + x1*th2 + x2*th2 + x2*th3 - x3*th2 + x3*th3 + x4\n"
+        )
 
     def test_json_invariants(self, heis):
         code, out, _ = run(["--format", "json", "invariants", heis])

@@ -28,6 +28,7 @@ from lieinv.expr import (
     theta_atom,
 )
 from lieinv.families import builtin_instances, make_jordan
+from lieinv import frame
 from lieinv.frame import RecipeNeeded
 from lieinv.linalg import Matrix, det_exprs
 from test_acceptance import PAIR_ROWS
@@ -39,6 +40,13 @@ def heisenberg():
 
 def filiform(n):
     return lie_algebra(n, {(k, n): {k - 1: 1} for k in range(2, n)})
+
+
+def mixed_spectrum():
+    # ad e4 on <e1, e2, e3> has eigenvalues -1 and -1 +- i in one block
+    return lie_algebra(
+        4, {(1, 4): {1: 1}, (2, 4): {1: 1, 2: 1, 3: -1}, (3, 4): {2: 1, 3: 1}}
+    )
 
 
 class TestExpAd:
@@ -89,7 +97,7 @@ class TestExpAd:
         r = exp_ad(g.ad_matrix(3), theta(3))
         assert expr_str(r.rows[0][1]) == "-1*th3*exp(-1*th3)"
 
-    def test_irrational_spectrum_needs_recipe(self):
+    def test_irrational_spectrum_needs_recipe(self, monkeypatch):
         # eigenvalues +-i: a rotation with rational frequency has a closed form
         rot = Matrix([[EXPR_ZERO, rational(-1)], [EXPR_ONE, EXPR_ZERO]])
         got = [[expr_str(v) for v in row] for row in exp_ad(rot, theta(1)).rows]
@@ -98,18 +106,31 @@ class TestExpAd:
         skew = Matrix([[EXPR_ZERO, rational(2)], [EXPR_ONE, EXPR_ZERO]])
         with pytest.raises(RecipeNeeded):
             exp_ad(skew, theta(1))
+        # one connected block with eigenvalues +-i and +-2i: no rational
+        # eigenvalue to split off, so the split raises without recursing
+        g = lie_algebra(
+            5, {(1, 5): {2: 1, 3: 1}, (2, 5): {1: -1}, (3, 5): {4: 1}, (4, 5): {3: -4}}
+        )
+        calls = []
+        inner = frame.exp_ad
+        monkeypatch.setattr(frame, "exp_ad", lambda m, t: calls.append(m) or inner(m, t))
+        with pytest.raises(RecipeNeeded):
+            frame.exp_ad(g.ad_matrix(5), theta(5))
+        assert len(calls) == 1
 
     def test_every_frame_factor_is_the_exact_flow(self):
         # exp(sign*th*ad) is I at th = 0 and solves d/dth F = sign*ad*F,
         # checked symbolically on every branch of exp_ad: nilpotent blocks,
         # shifted rotations (formal shift in g6.38), formal-parameter drifts
-        # (s3) and a coupled block that needs the eigenspace split
+        # (s3), a coupled block that needs the eigenspace split and a mixed
+        # spectrum -1, -1 +- i whose rotation is left after the split
         coupled = lie_algebra(3, {(1, 3): {1: 1}, (2, 3): {1: 1, 2: 2}})
         lifts = [inst.lifted() for inst in builtin_instances()]
         lifts += [make_jordan(blocks).lifted() for blocks in PAIR_ROWS]
         lifts.append(lifted_invariants(coupled))
+        lifts.append(lifted_invariants(mixed_spectrum()))
         for lift in lifts:
-            for f in lift.frame.factors:
+            for f in lift.factors:
                 zero = {f.theta: EXPR_ZERO}
                 assert f.closed.map(lambda e: substitute(e, zero)).is_identity()
                 deriv = f.closed.map(lambda e: differentiate(e, f.theta))
@@ -188,6 +209,9 @@ class TestLiftedInvariants:
         assert jacobian_rank(lifted_invariants(heisenberg()), seed=2) == 2
         abelian = lie_algebra(3, {})
         assert jacobian_rank(lifted_invariants(abelian), seed=2) == 0
+        g = mixed_spectrum()
+        assert jacobian_rank(lifted_invariants(g), seed=2) == 2
+        assert rank_coadjoint(g, seed=2)[0] == 2
 
 
 class TestRandomizedFrameProperties:

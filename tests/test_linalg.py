@@ -181,12 +181,20 @@ class TestCharpolyRoots:
 
     def test_rational_roots_split_and_multiplicity(self):
         # (t-1)^2 (t+2)
-        roots = rational_roots([Fraction(1), Fraction(0), Fraction(-3), Fraction(2)])
+        coeffs = [Fraction(1), Fraction(0), Fraction(-3), Fraction(2)]
+        roots, rest = rational_roots(coeffs)
         assert roots == [(Fraction(-2), 1), (Fraction(1), 2)]
+        assert rest == [1]
 
     def test_rational_roots_none_when_irreducible(self):
-        assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) is None
-        assert rational_roots([Fraction(1), Fraction(0), Fraction(-2)]) is None
+        for c in (1, -2):
+            coeffs = [Fraction(1), Fraction(0), Fraction(c)]
+            assert rational_roots(coeffs) == ([], coeffs)
+
+    def test_rational_roots_keep_the_cofactor(self):
+        # (t+1)(t^2+1): one rational root and a monic cofactor without any
+        coeffs = [Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
+        assert rational_roots(coeffs) == ([(Fraction(-1), 1)], [1, 0, 1])
 
     def test_cayley_hamilton_on_random_matrices(self):
         rng = random.Random(41)
