@@ -78,5 +78,4 @@ from .families import (
     make_s4,
     make_t0,
     polynomial_basis_predicate,
-    unipotent_conjugation_entries,
 )

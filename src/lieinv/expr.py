@@ -1301,56 +1301,104 @@ def differentiate(f, atom):
     """Exact partial derivative with respect to a variable atom."""
     if atom.is_generator:
         raise KernelError("can only differentiate by a variable atom")
-    dn = _diff_poly(f.num, atom)
-    dd = _diff_poly(f.den, atom)
-    if dd.is_zero():
-        return dn * make_expr(POLY_ONE, f.den)
-    fn = Expr(f.num, POLY_ONE)
-    fd = Expr(f.den, POLY_ONE)
-    return (dn * fd - fn * dd) / (fd * fd)
+    return Derivation({atom: EXPR_ONE}).apply(f)
 
 
-def _diff_poly(p, atom):
-    if not p.has_transcendentals():
-        # power rule term by term; distinct monomials keep distinct quotients
-        return Expr(Poly({m.without(atom, 1): c * e
-                          for m, c in p.terms.items() if (e := m.exponent(atom))}), POLY_ONE)
-    acc = EXPR_ZERO
-    for m, c in p.terms.items():
-        acc = acc + rational(c) * _diff_monomial(m, atom)
-    return acc
+class Derivation:
+    """The derivation X = sum_a F_a d/da of a field mapping variable atoms a to Exprs F_a.
+
+    X is applied to monomials directly: a variable atom goes to F_a (to zero
+    when absent from the field), a log/atan/cos/sin atom to outer'(u)*X(u),
+    and an exponential factor exp(w) to exp(w)*X(w).  memo maps an atom or
+    ExpPart to its list of (numerator, denominator) polynomial pieces of X;
+    an empty list means X annihilates it.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, field):
+        self.memo = {a: [(F.num, F.den)] if F else [] for a, F in field.items()}
+
+    def apply(self, f):
+        """X(f) for f = P/Q as a canonical Expr.
+
+        X(P) and X(Q) are collected as polynomial sums grouped by
+        denominator and each group gives Q*X(P) - P*X(Q) over that
+        denominator.  X(f) is zero when every group numerator is
+        structurally zero; otherwise one make_expr builds the groups summed
+        over Q^2 times the product of their denominators.
+        """
+        p, q = f.num, f.den
+        xp = self._groups(p)
+        xq = {} if q.is_one else self._groups(q)
+        num, den = None, POLY_ONE
+        for d in list(xp) + [d for d in xq if d not in xp]:
+            n = q.mul(Poly(xp.get(d, {}))).sub(p.mul(Poly(xq.get(d, {}))))
+            if n.is_zero:
+                continue
+            num = n if num is None else num.mul(d).add(n.mul(den))
+            den = den.mul(d)
+        if num is None:
+            return EXPR_ZERO
+        return make_expr(num, den if q.is_one else den.mul(q.mul(q)))
+
+    def _groups(self, p):
+        """X(p) for a polynomial p as {denominator: {monomial: coefficient}}."""
+        out = {}
+        for m, c in p.terms.items():
+            for a, e in m.vars:
+                pieces = self._atom(a)
+                if pieces:
+                    lower = m.without(a, 1)
+                    for num, den in pieces:
+                        _accumulate(out, den, num.mul_monomial(lower, c * e))
+            if m.ep is not None:
+                for num, den in self._exp_part(m.ep):
+                    _accumulate(out, den, num.mul_monomial(m, c))
+        return out
+
+    def _atom(self, a):
+        got = self.memo.get(a)
+        if got is None:
+            got = []
+            if a.is_generator:
+                du = self.apply(a.data)
+                if du:
+                    on, od = _outer_derivative(a)
+                    d = make_expr(on.mul(du.num), od.mul(du.den))
+                    got.append((d.num, d.den))
+            self.memo[a] = got
+        return got
+
+    def _exp_part(self, ep):
+        """X(w) for exp(w): X(base) + sum X(c_g)*g + c_g*X(g), piece by piece."""
+        got = self.memo.get(ep)
+        if got is None:
+            got = []
+            db = self.apply(ep.base)
+            if db:
+                got.append((db.num, db.den))
+            for a, coeff in ep.terms:
+                dc = self.apply(coeff)
+                if dc:
+                    got.append((dc.num.mul(poly_var(a)), dc.den))
+                for num, den in self._atom(a):
+                    got.append((coeff.num.mul(num), coeff.den.mul(den)))
+            self.memo[ep] = got
+        return got
 
 
-def _diff_monomial(m, atom):
-    acc = EXPR_ZERO
-    whole = Expr(Poly({m: QONE}), POLY_ONE)
-    for a, e in m.vars:
-        da = _diff_atom(a, atom)
-        if da.is_zero():
-            continue
-        rest = Poly({m.without(a, e).mul(make_monomial([(a, e - 1)], None)): QONE})
-        acc = acc + rational(e) * da * Expr(rest, POLY_ONE)
-    if m.ep is not None:
-        dw = differentiate(m.ep.base, atom)
-        for a, coeff in m.ep.terms:
-            dw = dw + differentiate(coeff, atom) * from_atom(a)
-            dw = dw + coeff * _diff_atom(a, atom)
-        if not dw.is_zero():
-            acc = acc + dw * whole
-    return acc
+def _accumulate(groups, den, poly):
+    acc = groups.setdefault(den, {})
+    for m, c in poly.terms.items():
+        tot = acc.get(m, QZERO) + c
+        if tot:
+            acc[m] = tot
+        else:
+            del acc[m]
 
 
-def _diff_atom(a, atom):
-    if not a.is_generator:
-        return EXPR_ONE if a == atom else EXPR_ZERO
-    du = differentiate(a.data, atom)
-    if du.is_zero():
-        return EXPR_ZERO
-    on, od = outer_derivative(a)
-    return make_expr(on.mul(du.num), od.mul(du.den))
-
-
-def outer_derivative(a):
+def _outer_derivative(a):
     """d head(u)/du of a generator atom a = head(u), as a (num, den) pair of polynomials."""
     u = a.data
     if a.head == "log":

@@ -109,63 +109,6 @@ def make_t0(n):
     )
 
 
-def unipotent_conjugation_entries(inst, thetas=None):
-    """Entries of G^-1 X G for the unipotent matrix G built from the frame.
-
-    G is the product of elementary unipotent matrices I + s*theta_p*E_(i,j)
-    in frame order; the (j, i) entries (i < j) of the conjugated coordinate
-    matrix reproduce the lifted invariants, giving an independent check of
-    the frame construction.
-    """
-    from .expr import theta as theta_expr
-
-    n = inst.extra["size"]
-    pairs = inst.extra["pairs"]
-    index = inst.extra["index"]
-    g_rows = [[EXPR_ONE if i == j else EXPR_ZERO for j in range(n)] for i in range(n)]
-    G = Matrix(g_rows)
-    inv = Matrix(g_rows)
-    for p, (i, j) in enumerate(pairs):
-        t = theta_expr(p + 1) if thetas is None else thetas[p]
-        sign = inst.signs.get(p + 1, 1)
-        t = t if sign > 0 else -t
-        F = Matrix(
-            [
-                [
-                    (EXPR_ONE if r == c else EXPR_ZERO)
-                    + (t if (r, c) == (i - 1, j - 1) else EXPR_ZERO)
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
-        Finv = Matrix(
-            [
-                [
-                    (EXPR_ONE if r == c else EXPR_ZERO)
-                    - (t if (r, c) == (i - 1, j - 1) else EXPR_ZERO)
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
-        G = G.mul(F)
-        inv = Finv.mul(inv)
-    X = Matrix(
-        [
-            [coord(index[(c, r)]) if c < r else EXPR_ZERO for c in range(1, n + 1)]
-            for r in range(1, n + 1)
-        ]
-    )
-    M = inv.mul(X).mul(G)
-    return {
-        (r, c): M.rows[r - 1][c - 1]
-        for r in range(1, n + 1)
-        for c in range(1, n + 1)
-        if c < r
-    }
-
-
 # ---------------------------------------------------------------------------
 # codimension-one Abelian ideal in Jordan form
 

@@ -2,11 +2,10 @@
 
 Two verification routes are provided.  The first is analytic: an invariant
 must be annihilated by every infinitesimal coadjoint generator
-X_i = sum_j F_ij d/dx_j with F_ij = sum_k c_ijk x_k.  X_i is a derivation, so
-it is applied to the monomials of f = P/Q directly: x_j goes to F_ij, a
-log/atan/cos/sin atom through its argument by the chain rule, and an
-exponential factor through its exponent.  The exact residual
-(Q*X_i(P) - P*X_i(Q))/Q^2 is assembled over shared denominators.  The second
+X_i = sum_j F_ij d/dx_j with F_ij = sum_k c_ijk x_k.  X_i is the
+expr.Derivation of the field x_j -> F_ij, the same chain rule that
+expr.differentiate applies; it gives the exact residual
+(Q*X_i(P) - P*X_i(Q))/Q^2 of f = P/Q over shared denominators.  The second
 is algebraic and applies to polynomial invariants: the
 symmetrization map sends x_{i1}...x_{ir} to the average of all orderings of
 e_{i1}...e_{ir}, and the image must commute with every generator once
@@ -21,16 +20,11 @@ from fractions import Fraction
 
 from .expr import (
     EXPR_ZERO,
-    POLY_ONE,
-    QZERO,
+    Derivation,
     Expr,
     KernelError,
-    Poly,
     coord_atom,
     from_atom,
-    make_expr,
-    outer_derivative,
-    poly_var,
     rational,
 )
 
@@ -52,105 +46,19 @@ def check_invariant(g, f):
 def check_all(g, exprs):
     """Exact residuals X_i(f) of every f in exprs; one report per f, in order.
 
-    The coadjoint fields are built once.  For f = P/Q one derivation pass of
-    X_i over the monomials of P and Q collects the numerators of X_i(P) and
-    X_i(Q) as polynomial sums grouped by denominator, and each group gives
-    Q*X_i(P) - P*X_i(Q) over that denominator.  The residual is zero when
-    every group numerator is structurally zero; otherwise it is the
-    canonical quotient of the groups summed over Q^2 times the product of
-    their denominators, which one make_expr builds and zero-tests.  X_i of
-    each generator atom and exponential factor is computed once per call.
+    The coadjoint fields are built once and each row becomes one
+    expr.Derivation, so X_i of each generator atom and exponential factor
+    is computed once per call.
     """
-    passes = [_Derivation(row) for row in g.coadjoint_fields()]
+    passes = [
+        Derivation({coord_atom(j): F for j, F in enumerate(row, 1)})
+        for row in g.coadjoint_fields()
+    ]
     reports = []
     for f in exprs:
         residuals = [d.apply(f) for d in passes]
         reports.append(InvariantCheck(all(r.is_zero() for r in residuals), residuals))
     return reports
-
-
-class _Derivation:
-    """The derivation X = sum_j F_j d/dx_j of one field row F, memoizing X of atoms and exp parts.
-
-    memo maps an atom or ExpPart to its list of (numerator, denominator)
-    polynomial pieces; an empty list means X annihilates it.
-    """
-
-    __slots__ = ("memo",)
-
-    def __init__(self, row):
-        self.memo = {coord_atom(j): [(F.num, F.den)] if F else [] for j, F in enumerate(row, 1)}
-
-    def apply(self, f):
-        """X(f) for f = P/Q as a canonical Expr."""
-        p, q = f.num, f.den
-        xp = self._groups(p)
-        xq = {} if q.is_one else self._groups(q)
-        num, den = None, POLY_ONE
-        for d in list(xp) + [d for d in xq if d not in xp]:
-            n = q.mul(Poly(xp.get(d, {}))).sub(p.mul(Poly(xq.get(d, {}))))
-            if n.is_zero:
-                continue
-            num = n if num is None else num.mul(d).add(n.mul(den))
-            den = den.mul(d)
-        if num is None:
-            return EXPR_ZERO
-        return make_expr(num, den if q.is_one else den.mul(q.mul(q)))
-
-    def _groups(self, p):
-        """X(p) for a polynomial p as {denominator: {monomial: coefficient}}."""
-        out = {}
-        for m, c in p.terms.items():
-            for a, e in m.vars:
-                pieces = self._atom(a)
-                if pieces:
-                    lower = m.without(a, 1)
-                    for num, den in pieces:
-                        _accumulate(out, den, num.mul_monomial(lower, c * e))
-            if m.ep is not None:
-                for num, den in self._exp_part(m.ep):
-                    _accumulate(out, den, num.mul_monomial(m, c))
-        return out
-
-    def _atom(self, a):
-        got = self.memo.get(a)
-        if got is None:
-            got = []
-            if a.is_generator:
-                du = self.apply(a.data)
-                if du:
-                    on, od = outer_derivative(a)
-                    d = make_expr(on.mul(du.num), od.mul(du.den))
-                    got.append((d.num, d.den))
-            self.memo[a] = got
-        return got
-
-    def _exp_part(self, ep):
-        """X(w) for exp(w): X(base) + sum X(c_g)*g + c_g*X(g), piece by piece."""
-        got = self.memo.get(ep)
-        if got is None:
-            got = []
-            db = self.apply(ep.base)
-            if db:
-                got.append((db.num, db.den))
-            for a, coeff in ep.terms:
-                dc = self.apply(coeff)
-                if dc:
-                    got.append((dc.num.mul(poly_var(a)), dc.den))
-                for num, den in self._atom(a):
-                    got.append((coeff.num.mul(num), coeff.den.mul(den)))
-            self.memo[ep] = got
-        return got
-
-
-def _accumulate(groups, den, poly):
-    acc = groups.setdefault(den, {})
-    for m, c in poly.terms.items():
-        tot = acc.get(m, QZERO) + c
-        if tot:
-            acc[m] = tot
-        else:
-            del acc[m]
 
 
 # ---------------------------------------------------------------------------

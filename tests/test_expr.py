@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
+from sympy.parsing.sympy_parser import parse_expr
 
 from lieinv.expr import (
     EXPR_ONE,
@@ -33,8 +36,6 @@ from lieinv.expr import (
 from lieinv.expr import (
     _PROBE_PRIME,
     _content,
-    _diff_monomial,
-    _diff_poly,
     _gcd_is_constant,
     make_monomial,
     make_poly,
@@ -87,6 +88,71 @@ def random_transcendental_expr(rng, depth=3):
         return base * random_transcendental_expr(rng, depth - 1)
     except KernelError:
         return base
+
+
+def sympy_symbols(names):
+    return {name: sympy.Symbol(name) for name in names}
+
+
+def parse_printed(f, symbols):
+    """The printed form of f read by sympy, as the benchmark oracle reads it."""
+    return parse_expr(expr_str(f).replace("^", "**"), local_dict=symbols)
+
+
+_MP_CONSTANTS = {sympy.pi: mpmath.pi, sympy.E: mpmath.e, sympy.I: mpmath.j}
+_MP_FUNCTIONS = {
+    sympy.exp: mpmath.exp,
+    sympy.log: mpmath.log,
+    sympy.atan: mpmath.atan,
+    sympy.cos: mpmath.cos,
+    sympy.sin: mpmath.sin,
+}
+
+
+def mp_value(e, memo):
+    """mpmath value of a sympy expression; memo holds the symbol values and shared subtrees."""
+    got = memo.get(e)
+    if got is None:
+        if e.is_Rational:
+            got = mpmath.mpf(e.p) / e.q
+        elif e.is_Add:
+            got = mpmath.fsum(mp_value(a, memo) for a in e.args)
+        elif e.is_Mul:
+            got = mpmath.fprod(mp_value(a, memo) for a in e.args)
+        elif e.is_Pow:
+            got = mp_value(e.base, memo) ** mp_value(e.exp, memo)
+        elif e in _MP_CONSTANTS:
+            got = _MP_CONSTANTS[e]
+        else:
+            got = _MP_FUNCTIONS[e.func](mp_value(e.args[0], memo))
+        memo[e] = got
+    return got
+
+
+def regular_values(exprs, symbols, rng, points=2, attempts=8):
+    """Values of the lists of sympy expressions exprs at seeded rational points.
+
+    mpmath evaluates at its current precision.  A point where any value is
+    singular is skipped; fewer than `points` regular points is an error.
+    """
+    found = []
+    for _ in range(attempts):
+        memo = {s: mpmath.mpf(rng.randint(1, 97)) / rng.randint(1, 13) for s in symbols.values()}
+        try:
+            values = [[mp_value(e, memo) for e in row] for row in exprs]
+        except (ZeroDivisionError, ValueError):
+            continue
+        if all(mpmath.isfinite(v) for row in values for v in row):
+            found.append(values)
+            if len(found) == points:
+                return found
+    raise AssertionError("no %d regular sample points in %d attempts" % (points, attempts))
+
+
+def agrees(value, terms):
+    """value equals the sum of terms up to 30 digits of the largest magnitude involved."""
+    scale = max([mpmath.mpf(1), abs(value)] + [abs(t) for t in terms])
+    return abs(value - mpmath.fsum(terms)) <= mpmath.mpf(10) ** -30 * scale
 
 
 class TestArithmetic:
@@ -223,6 +289,10 @@ class TestCalculus:
         assert differentiate(atan_of(X2 / X1), coord_atom(2)).equals(X1 / r2)
         assert differentiate(cos_of(X1), a1).equals(-sin_of(X1))
         assert differentiate(sin_of(X1), a1).equals(cos_of(X1))
+        # only variable atoms can be differentiated by
+        (log_atom,) = log_of(X1).generator_atoms()
+        with pytest.raises(KernelError, match="variable atom"):
+            differentiate(X1, log_atom)
 
     def test_product_rule_on_random_expressions(self):
         rng = random.Random(303)
@@ -234,14 +304,27 @@ class TestCalculus:
             rhs = differentiate(f, a1) * g + f * differentiate(g, a1)
             assert lhs.equals(rhs)
 
+    def test_derivatives_against_sympy(self):
+        rng = random.Random(307)
+        symbols = sympy_symbols(["x1", "x2", "x3"])
+        xs = list(symbols.values())
+        for _ in range(40):
+            f = random_transcendental_expr(rng)
+            h = parse_printed(f, symbols)
+            got = [parse_printed(differentiate(f, coord_atom(j)), symbols) for j in (1, 2, 3)]
+            want = [sympy.Add.make_args(sympy.diff(h, x)) for x in xs]
+            with mpmath.workdps(50):
+                for values in regular_values([got] + want, symbols, rng):
+                    assert all(map(agrees, values[0], values[1:])), expr_str(f)
+
     def test_derivative_of_parameter_is_zero(self):
         f = param("a") * X1
         assert differentiate(f, param_atom("a")).equals(X1)
         assert differentiate(f, coord_atom(1)).equals(param("a"))
 
     def test_polynomial_power_rule_matches_monomial_rule(self):
-        # a transcendental-free polynomial is differentiated by the power
-        # rule; it must give the canonical sum of the monomial derivatives
+        # on a transcendental-free polynomial the derivation must give the
+        # power rule: the sum of c*e*m/a over the monomials c*m, e = deg_a m
         rng = random.Random(29)
         atoms = [coord_atom(1), coord_atom(2), theta_atom(1), param_atom("a")]
         for _ in range(40):
@@ -254,8 +337,13 @@ class TestCalculus:
             for a in atoms:
                 reference = EXPR_ZERO
                 for m, c in f.num.terms.items():
-                    reference = reference + rational(c) * _diff_monomial(m, a)
-                assert _diff_poly(f.num, a) == reference
+                    e = m.exponent(a)
+                    if e:
+                        lower = rational(c * e)
+                        for b, k in m.vars:
+                            lower = lower * from_atom(b) ** (k - (b == a))
+                        reference = reference + lower
+                assert differentiate(f, a) == reference
 
 
 class TestSubstituteEvaluate:

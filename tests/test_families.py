@@ -18,6 +18,8 @@ from lieinv import (
 )
 from lieinv.algebra import StructureError
 from lieinv.expr import (
+    EXPR_ONE,
+    EXPR_ZERO,
     atan_of,
     cos_of,
     exp_of,
@@ -37,9 +39,55 @@ from lieinv.families import (
     make_s4,
     make_t0,
     polynomial_basis_predicate,
-    unipotent_conjugation_entries,
 )
 from lieinv.frame import RecipeNeeded
+from lieinv.linalg import Matrix
+
+
+def unipotent_conjugation_entries(inst):
+    """Entries of G^-1 X G for the unipotent matrix G built from the frame.
+
+    G is the product of elementary unipotent matrices I + s*theta_p*E_(i,j)
+    in frame order; the (j, i) entries (i < j) of the conjugated coordinate
+    matrix reproduce the lifted invariants, giving an independent check of
+    the frame construction.
+    """
+    n = inst.extra["size"]
+    pairs = inst.extra["pairs"]
+    index = inst.extra["index"]
+
+    def elementary(i, j, s):
+        """I + s*E_(i,j)."""
+        return Matrix(
+            [
+                [
+                    (EXPR_ONE if r == c else EXPR_ZERO)
+                    + (s if (r, c) == (i - 1, j - 1) else EXPR_ZERO)
+                    for c in range(n)
+                ]
+                for r in range(n)
+            ]
+        )
+
+    G = inv = elementary(1, 1, EXPR_ZERO)
+    for p, (i, j) in enumerate(pairs):
+        t = theta(p + 1)
+        t = t if inst.signs.get(p + 1, 1) > 0 else -t
+        G = G.mul(elementary(i, j, t))
+        inv = elementary(i, j, -t).mul(inv)
+    X = Matrix(
+        [
+            [coord(index[(c, r)]) if c < r else EXPR_ZERO for c in range(1, n + 1)]
+            for r in range(1, n + 1)
+        ]
+    )
+    M = inv.mul(X).mul(G)
+    return {
+        (r, c): M.rows[r - 1][c - 1]
+        for r in range(1, n + 1)
+        for c in range(1, n + 1)
+        if c < r
+    }
 
 
 class TestTriangularFamily:

@@ -5,7 +5,9 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 
 from lieinv import (
     LieAlgebra,
@@ -34,6 +36,7 @@ from lieinv.families import builtin_instances, make_g6_38, make_jordan, make_t0
 from lieinv.io import parse_algebra
 from lieinv.verify import NCPoly
 from test_acceptance import PAIR_ROWS
+from test_expr import agrees, parse_printed, regular_values, sympy_symbols
 
 # structure constants with a parameter denominator, so the coadjoint fields
 # are quotients; its one invariant is x4*exp(-1/2*log(x3)/(a + 1/2))
@@ -323,23 +326,54 @@ def symmetrize_outcome(symmetrizer, f):
         return str(err)
 
 
+def residual_cases():
+    """(algebra, expression) pairs: known invariants f and a seeded f + x_j each."""
+    rng = random.Random(5)
+    cases = [(inst.algebra, inst.expected_invariants) for inst in builtin_instances()]
+    # elimination survivors of the rotation rows: long exp/atan invariants
+    for blocks in PAIR_ROWS:
+        if any(b[0] == "real" for b in blocks):
+            inst = make_jordan(blocks)
+            cases.append((inst.algebra, eliminate(inst.lifted()).invariants))
+    g = parse_algebra(PARAMETER_DENOMINATORS)
+    cases.append((g, eliminate(lifted_invariants(g)).invariants))
+    for g, invariants in cases:
+        js = non_central_coordinates(g)
+        for f in invariants:
+            yield g, f
+            yield g, f + coord(rng.choice(js))
+
+
 class TestAgainstReference:
     def test_residuals_of_every_builtin_invariant(self):
-        rng = random.Random(5)
-        cases = [(inst.algebra, inst.expected_invariants) for inst in builtin_instances()]
-        # elimination survivors of the rotation rows: long exp/atan invariants
-        for blocks in PAIR_ROWS:
-            if any(b[0] == "real" for b in blocks):
-                inst = make_jordan(blocks)
-                cases.append((inst.algebra, eliminate(inst.lifted()).invariants))
-        g = parse_algebra(PARAMETER_DENOMINATORS)
-        cases.append((g, eliminate(lifted_invariants(g)).invariants))
-        for g, invariants in cases:
-            js = non_central_coordinates(g)
-            for f in invariants:
-                for h in (f, f + coord(rng.choice(js))):
-                    got = [expr_str(r) for r in check_invariant(g, h).residuals]
-                    assert got == reference_residuals(g, h), (g.name, expr_str(h))
+        for g, h in residual_cases():
+            got = [expr_str(r) for r in check_invariant(g, h).residuals]
+            assert got == reference_residuals(g, h), (g.name, expr_str(h))
+
+    def test_residuals_against_sympy(self):
+        # sum_j F_ij dh/dx_j by sympy.diff on the printed h, an oracle that
+        # shares no calculus with the kernel
+        rng = random.Random(8)
+        fields = {}
+        for g, h in residual_cases():
+            n = g.dim
+            symbols = sympy_symbols(["x%d" % j for j in range(1, n + 1)] + list(g.params))
+            xs = [symbols["x%d" % j] for j in range(1, n + 1)]
+            if g not in fields:
+                fields[g] = [
+                    [sum((parse_printed(c, symbols) * xs[k - 1]
+                          for k, c in g.bracket(i, j).items()), sympy.Integer(0))
+                     for j in range(1, n + 1)]
+                    for i in range(1, n + 1)
+                ]
+            grads = [sympy.Add.make_args(sympy.diff(parse_printed(h, symbols), x)) for x in xs]
+            got = [parse_printed(r, symbols) for r in check_invariant(g, h).residuals]
+            with mpmath.workdps(50):
+                for values in regular_values([got] + fields[g] + grads, symbols, rng):
+                    rows, terms = values[1:n + 1], values[n + 1:]
+                    for value, row in zip(values[0], rows):
+                        sums = [f * t for f, ts in zip(row, terms) for t in ts]
+                        assert agrees(value, sums), (g.name, expr_str(h))
 
     def test_symmetrize_and_centrality_of_every_builtin_invariant(self):
         rng = random.Random(6)
