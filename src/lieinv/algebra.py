@@ -179,23 +179,8 @@ def validate(g):
 
 
 def center(g):
-    """Basis of the center as coefficient vectors over the expression field."""
-    n = g.dim
-    rows = []
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            row = [EXPR_ZERO] * n
-            touched = False
-            for i in range(1, n + 1):
-                c = g.bracket(i, j).get(k)
-                if c is not None:
-                    row[i - 1] = c
-                    touched = True
-            if touched:
-                rows.append(row)
-    if not rows:
-        return [list(row) for row in Matrix.identity(n).rows]
-    return nullspace_exprs(rows)
+    """Basis of the center over the expression field: the common kernel of all ad_{e_i}."""
+    return nullspace_exprs([row for i in range(1, g.dim + 1) for row in g.ad_matrix(i).rows])
 
 
 def derived_series(g):

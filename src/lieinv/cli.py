@@ -53,8 +53,6 @@ EXIT_USAGE = 2
 EXIT_RECIPE = 3
 EXIT_BROKEN_PIPE = 141
 
-_FAMILIES = ("t0", "jordan", "s1", "s2", "s3", "s4", "g6_38")
-
 
 def _read_source(path):
     if path == "-":
@@ -281,9 +279,9 @@ def _parse_blocks(text):
         bits = [b.strip() for b in piece.split(",")]
         kind = bits[0]
         if kind == "jordan" and len(bits) == 3:
-            blocks.append(("jordan", Fraction(bits[1]), int(bits[2])))
+            blocks.append(("jordan", _parse_fraction(bits[1]), int(bits[2])))
         elif kind == "real" and len(bits) == 4:
-            blocks.append(("real", Fraction(bits[1]), Fraction(bits[2]), int(bits[3])))
+            blocks.append(("real", *map(_parse_fraction, bits[1:3]), int(bits[3])))
         else:
             raise argparse.ArgumentTypeError(
                 "bad block %r (use jordan,LAMBDA,SIZE or real,MU,NU,HALF)" % piece
@@ -302,41 +300,30 @@ def _parse_assignments(text):
         if "=" not in piece:
             raise argparse.ArgumentTypeError("bad assignment %r (use INDEX=VALUE)" % piece)
         k, v = piece.split("=", 1)
-        out[int(k)] = Fraction(v)
+        out[int(k)] = _parse_fraction(v)
     return out
 
 
+# name -> (required options, builder of the FamilyInstance from the parsed arguments)
+_FAMILIES = {
+    "t0": (("n",), lambda args: make_t0(args.n)),
+    "jordan": (("blocks",), lambda args: make_jordan(_parse_blocks(args.blocks))),
+    "s1": (("n", "alpha", "beta"), lambda args: make_s1(args.n, args.alpha, args.beta)),
+    "s2": (("n",), lambda args: make_s2(args.n)),
+    "s3": (("n",), lambda args: make_s3(args.n, a=_parse_assignments(args.a) if args.a else None)),
+    "s4": (("n",), lambda args: make_s4(args.n)),
+    "g6_38": ((), lambda args: make_g6_38(None if args.a is None else _parse_fraction(args.a))),
+}
+
+
 def _make_family(args):
-    name = args.name
-    if name == "t0":
-        if args.n is None:
-            raise argparse.ArgumentTypeError("t0 requires --n")
-        return make_t0(args.n)
-    if name == "jordan":
-        if not args.blocks:
-            raise argparse.ArgumentTypeError("jordan requires --blocks")
-        return make_jordan(_parse_blocks(args.blocks))
-    if name == "s1":
-        if args.n is None or args.alpha is None or args.beta is None:
-            raise argparse.ArgumentTypeError("s1 requires --n, --alpha and --beta")
-        return make_s1(args.n, args.alpha, args.beta)
-    if name == "s2":
-        if args.n is None:
-            raise argparse.ArgumentTypeError("s2 requires --n")
-        return make_s2(args.n)
-    if name == "s3":
-        if args.n is None:
-            raise argparse.ArgumentTypeError("s3 requires --n")
-        drift = _parse_assignments(args.a) if args.a else None
-        return make_s3(args.n, a=drift)
-    if name == "s4":
-        if args.n is None:
-            raise argparse.ArgumentTypeError("s4 requires --n")
-        return make_s4(args.n)
-    if name == "g6_38":
-        a = Fraction(args.a) if args.a is not None else None
-        return make_g6_38(a)
-    raise argparse.ArgumentTypeError("unknown family %r" % name)
+    required, build = _FAMILIES[args.name]
+    # an empty --blocks counts as missing
+    if any(getattr(args, opt) in (None, "") for opt in required):
+        flags = ["--" + opt for opt in required]
+        listed = " and ".join(filter(None, [", ".join(flags[:-1]), flags[-1]]))
+        raise argparse.ArgumentTypeError("%s requires %s" % (args.name, listed))
+    return build(args)
 
 
 def cmd_family(args):

@@ -365,15 +365,6 @@ class Poly:
     def degree_in(self, atom):
         return max((m.exponent(atom) for m in self.terms), default=0)
 
-    def coeff_in(self, atom, k):
-        """The polynomial coefficient of atom**k (atom divided out)."""
-        acc = {}
-        for m, c in self.terms.items():
-            if m.exponent(atom) == k:
-                key = m.without(atom, k)
-                acc[key] = acc.get(key, QZERO) + c
-        return make_poly(acc)
-
     def add(self, other):
         if self.is_zero:
             return other
@@ -583,21 +574,25 @@ def _content(p):
     return cont
 
 
-def _as_univariate(p, atoms):
+def coefficients(p, atoms):
     """p as a polynomial in atoms: {key: coefficient free of atoms}.
 
-    The key of a monomial is its part in atoms as (atom, exponent) pairs,
-    or, when atoms holds a single atom, that atom's exponent.
+    The key of a monomial is its part in atoms as a tuple of (atom,
+    exponent) pairs; () holds the terms free of atoms.  Splitting a
+    canonical polynomial merges no monomials and raises no sin power, so
+    each coefficient is canonical as built.
     """
     out = {}
-    single = len(atoms) == 1
     for m, c in p.terms.items():
-        inside = tuple(it for it in m.vars if it[0] in atoms)
+        key = tuple(it for it in m.vars if it[0] in atoms)
         rest = Monomial(tuple(it for it in m.vars if it[0] not in atoms), m.ep)
-        key = (inside[0][1] if inside else 0) if single else inside
-        bucket = out.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, QZERO) + c
-    return {k: make_poly(d) for k, d in out.items()}
+        out.setdefault(key, {})[rest] = c
+    return {k: Poly(d) for k, d in out.items()}
+
+
+def _as_univariate(p, v):
+    """p as a polynomial in the atom v: {exponent: coefficient free of v}."""
+    return {(k[0][1] if k else 0): c for k, c in coefficients(p, (v,)).items()}
 
 
 def _from_univariate(coeffs, atom):
@@ -653,11 +648,11 @@ def poly_gcd(p, q):
     if atoms_p != atoms_q:
         sides = ((q, atoms_q - atoms_p), (p, atoms_p - atoms_q))
         return _gcd_many(
-            c for f, own in sides for c in (_as_univariate(f, own).values() if own else (f,))
+            c for f, own in sides for c in (coefficients(f, own).values() if own else (f,))
         )
     v = max(atoms, key=lambda a: a.skey)
-    pu = _as_univariate(p, (v,))
-    qu = _as_univariate(q, (v,))
+    pu = _as_univariate(p, v)
+    qu = _as_univariate(q, v)
     cont_p = _gcd_many(pu.values())
     cont_q = _gcd_many(qu.values())
     cont = poly_gcd(cont_p, cont_q)
@@ -781,13 +776,13 @@ def _poly_exact_div(p, d):
         return p.div_monomial(mono).scale(QONE / c)
     atoms = sorted(d.atoms(), key=lambda a: a.skey)
     v = atoms[-1]
-    du = _as_univariate(d, (v,))
+    du = _as_univariate(d, v)
     dd = max(du)
     lead = du[dd]
     rem = p
     out = POLY_ZERO
     while not rem.is_zero:
-        ru = _as_univariate(rem, (v,))
+        ru = _as_univariate(rem, v)
         dr = max(ru)
         if dr < dd:
             raise KernelError("inexact polynomial division")
@@ -1123,28 +1118,16 @@ def exp_of(f):
         return EXPR_ONE
     if f.den.has_transcendentals():
         raise KernelError("unsupported exp argument (transcendental denominator)")
-    base_terms = {}
-    gen_coeffs = {}
-    for m, c in f.num.terms.items():
-        if m.ep is not None:
-            raise KernelError("unsupported exp argument (nested exponential)")
-        gens = [(a, e) for a, e in m.vars if a.is_generator]
-        if not gens:
-            base_terms[m] = c
-            continue
-        if len(gens) > 1 or gens[0][1] != 1:
-            raise KernelError("unsupported exp argument (nonlinear in generators)")
-        atom = gens[0][0]
-        rest = m.without(atom, 1)
-        bucket = gen_coeffs.setdefault(atom, {})
-        bucket[rest] = bucket.get(rest, QZERO) + c
-    base = make_expr(make_poly(base_terms), f.den) if base_terms else EXPR_ZERO
+    if any(m.ep is not None for m in f.num.terms):
+        raise KernelError("unsupported exp argument (nested exponential)")
+    parts = coefficients(f.num, {a for a in f.num.atoms() if a.is_generator})
+    base = make_expr(parts.pop((), POLY_ZERO), f.den)
     mult = EXPR_ONE
     terms = []
-    for atom, bucket in gen_coeffs.items():
-        coeff = make_expr(make_poly(bucket), f.den)
-        if coeff.is_zero():
-            continue
+    for key, poly in parts.items():
+        if len(key) > 1 or key[0][1] != 1:
+            raise KernelError("unsupported exp argument (nonlinear in generators)")
+        atom, coeff = key[0][0], make_expr(poly, f.den)
         if atom.head == "log" and coeff.is_integer():
             mult = mult * (atom.data ** coeff.as_fraction().numerator)
         else:
@@ -1180,13 +1163,10 @@ def _log_poly(p):
             acc = acc + m.ep.as_expr()
         return acc
     if p.has_transcendentals():
-        eps = {m.ep for m in p.terms}
-        if len(eps) == 1:
+        stripped = strip_common_ep(p)
+        if stripped is not None and stripped[1] is not None:
             # a shared exponential factor comes out of the log additively
-            ep = next(iter(eps))
-            if ep is not None:
-                stripped = Poly({m.with_ep(None): c for m, c in p.terms.items()})
-                return _log_poly(stripped) + ep.as_expr()
+            return _log_poly(stripped[0]) + stripped[1].as_expr()
         raise KernelError("log of a transcendental polynomial")
     common = p.common_monomial()
     if common.vars:
@@ -1197,6 +1177,17 @@ def _log_poly(p):
     if cont != QONE:
         acc = acc + from_atom(_log_const_atom(cont))
     return acc
+
+
+def strip_common_ep(poly):
+    """(poly without exp parts, ep) when all monomials share one exp part ep, else None."""
+    eps = {m.ep for m in poly.terms}
+    if len(eps) != 1:
+        return None
+    ep = next(iter(eps))
+    if ep is None:
+        return poly, None
+    return Poly({m.with_ep(None): c for m, c in poly.terms.items()}), ep
 
 
 def _log_const_atom(c):
@@ -1251,18 +1242,11 @@ def _atan_rotation(f):
 
 def _linear_in_pair(p, c_at, s_at):
     """Split p = C*cos + S*sin; None unless homogeneous of degree 1 in the pair."""
-    c_part = {}
-    s_part = {}
-    for m, c in p.terms.items():
-        ec = m.exponent(c_at)
-        es = m.exponent(s_at)
-        if ec + es != 1:
-            return None
-        if ec:
-            c_part[m.without(c_at, 1)] = c
-        else:
-            s_part[m.without(s_at, 1)] = c
-    return make_poly(c_part), make_poly(s_part)
+    parts = coefficients(p, (c_at, s_at))
+    c_key, s_key = ((c_at, 1),), ((s_at, 1),)
+    if not parts.keys() <= {c_key, s_key}:
+        return None
+    return parts.get(c_key, POLY_ZERO), parts.get(s_key, POLY_ZERO)
 
 
 def cos_of(f):
@@ -1472,16 +1456,11 @@ def _subst_poly_common_den(p, mapping):
         factors[a] = [v.num.pow(e).mul(v.den.pow(k - e)) for e in range(k + 1)]
         den = den.mul(factors[a][0])
     # monomials with equal exponents in the mapped atoms share one product
-    groups = {}
-    for m, c in p.terms.items():
-        key = tuple(m.exponent(a) for a in factors)
-        rest = make_monomial([(a, e) for a, e in m.vars if a not in factors], None)
-        groups.setdefault(key, {})[rest] = c
     terms = []
-    for key, rest in groups.items():
-        term = Poly(rest)
-        for fs, e in zip(factors.values(), key):
-            term = term.mul(fs[e])
+    for key, term in coefficients(p, factors).items():
+        exps = dict(key)
+        for a, fs in factors.items():
+            term = term.mul(fs[exps.get(a, 0)])
         terms.extend(term.terms.items())
     return make_expr(make_poly(terms), den)
 

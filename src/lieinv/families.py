@@ -214,6 +214,8 @@ def _block_dim(block):
 
 
 def normalize_block(block):
+    if int(block[-1]) < 1:
+        raise StructureError("block size must be at least 1")
     if block[0] == "jordan":
         kind, lam, r = block
         return ("jordan", _as_expr(lam), int(r))

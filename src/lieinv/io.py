@@ -31,8 +31,8 @@ from fractions import Fraction
 from .algebra import StructureError, lie_algebra, validate
 from .expr import (
     KernelError,
-    Poly,
     atan_of,
+    coefficients,
     coord,
     cos_of,
     exp_of,
@@ -291,14 +291,11 @@ def _linear_form(text, dim):
     f = parse_expr(text)
     if any(_e_index(a) for a in f.den.atoms()):
         raise ParseError("basis symbols may not appear in a denominator")
-    parts = {}
-    for m, c in f.num.terms.items():
-        basis = [(a, e) for a, e in m.vars if _e_index(a)]
-        if len(basis) != 1 or basis[0][1] != 1:
-            raise ParseError("bracket right-hand side must be linear in e1..e%d" % dim)
-        a = basis[0][0]
-        parts.setdefault(_e_index(a), {})[m.without(a, 1)] = c
-    return {k: make_expr(Poly(parts[k]), f.den) for k in sorted(parts)}
+    parts = coefficients(f.num, {a for a in f.num.atoms() if _e_index(a)})
+    if any(len(key) != 1 or key[0][1] != 1 for key in parts):
+        raise ParseError("bracket right-hand side must be linear in e1..e%d" % dim)
+    parts = {_e_index(key[0][0]): c for key, c in parts.items()}
+    return {k: make_expr(parts[k], f.den) for k in sorted(parts)}
 
 
 def _check_params(names):

@@ -46,9 +46,10 @@ from .algebra import sample_fraction
 from .expr import (
     Expr,
     KernelError,
-    Poly,
     POLY_ONE,
+    POLY_ZERO,
     atan_of,
+    coefficients,
     coord_atom,
     differentiate,
     exp_of,
@@ -57,6 +58,7 @@ from .expr import (
     make_expr,
     make_poly,
     rational,
+    strip_common_ep,
     substitute,
 )
 from .linalg import rank_exprs
@@ -115,22 +117,12 @@ def _where(f, th):
     return places
 
 
-def _strip_common_ep(poly):
-    """(stripped poly, ep) when all monomials share one exp part, else None."""
-    eps = {m.ep for m in poly.terms}
-    if len(eps) != 1:
-        return None
-    ep = next(iter(eps))
-    if ep is None:
-        return poly, None
-    return Poly({m.with_ep(None): c for m, c in poly.terms.items()}), ep
-
-
 def _linear_coefficient(base, th):
     """Coefficient of th in an expression linear in th (else None)."""
-    if base.den.degree_in(th) or base.num.degree_in(th) > 1:
+    parts = coefficients(base.num, (th,))
+    if base.den.degree_in(th) or not parts.keys() <= {(), ((th, 1),)}:
         return None
-    return make_expr(base.num.coeff_in(th, 1), base.den)
+    return make_expr(parts.get(((th, 1),), POLY_ZERO), base.den)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +138,12 @@ def _substituting(th, value):
 def _linear(f, th, at, others):
     if any(side == "den" or kind == "arg" for side, kind in at):
         return None
-    stripped = _strip_common_ep(f.num)
-    if stripped is None or stripped[0].degree_in(th) != 1:
+    stripped = strip_common_ep(f.num)
+    parts = {} if stripped is None else coefficients(stripped[0], (th,))
+    if parts.keys() - {()} != {((th, 1),)}:
         return None
-    num = stripped[0]
-    a = make_expr(num.coeff_in(th, 1), f.den)
-    sol = -(make_expr(num.coeff_in(th, 0), f.den) / a)
+    a = make_expr(parts[((th, 1),)], f.den)
+    sol = -(make_expr(parts.get((), POLY_ZERO), f.den) / a)
     return PivotRecord("linear", th, sol, [a]), _substituting(th, sol)
 
 
@@ -229,7 +221,7 @@ def _polar(ei, ej):
     if rate is None:
         return None
     th, nu = rate
-    stripped = _strip_common_ep(r2.num)
+    stripped = strip_common_ep(r2.num)
     if stripped is None or stripped[1] is None or r2.den.has_transcendentals():
         return r2, phi
     rho = _linear_coefficient(stripped[1].base, th)

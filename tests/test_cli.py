@@ -437,9 +437,18 @@ class TestFamily:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == SOLVABLE_RUN_SHA256[args]
 
-    def test_invalid_block_spec_is_usage_error(self):
-        code, _, err = run(["family", "jordan", "--blocks", "jordan,0,1"])
-        assert code != EXIT_OK
+    @pytest.mark.parametrize("args", [
+        ["jordan", "--blocks", "jordan,0,1"],
+        ["jordan", "--blocks", "jordan,1,0"],
+        ["jordan", "--blocks", "jordan,1/0,2"],
+        ["jordan", "--blocks", "real,1,0,1"],
+        ["g6_38", "--a", "1/0"],
+        ["s3", "--n", "5", "--a", "3=1/0"],
+    ], ids=["kernel-block", "size-zero", "lambda-div0", "nu-zero", "a-div0", "drift-div0"])
+    def test_invalid_block_spec_is_usage_error(self, args):
+        code, _, err = run(["family"] + args)
+        assert code == EXIT_USAGE
+        assert err.startswith("family error: ")
 
 
 class TestUsageErrors:

@@ -213,6 +213,24 @@ class TestLiftedInvariants:
         assert jacobian_rank(lifted_invariants(g), seed=2) == 2
         assert rank_coadjoint(g, seed=2)[0] == 2
 
+    def test_jacobian_rank_on_pair_rows(self):
+        # the frequency-2 rotation rows sample cos/sin of twice a rational
+        # angle, which goes through the squaring step of _rotation_power
+        for blocks in PAIR_ROWS:
+            inst = make_jordan(blocks)
+            g = inst.algebra
+            rank = jacobian_rank(inst.lifted(), seed=13)
+            assert rank == rank_coadjoint(g, seed=13)[0], blocks
+            assert rank == g.dim - len(inst.expected_invariants), blocks
+
+    def test_rotation_power_matches_repeated_rotation(self):
+        c, s = Fraction(3, 5), Fraction(4, 5)
+        rc, rs = Fraction(1), Fraction(0)
+        for m in range(7):
+            assert frame._rotation_power(c, s, m) == (rc, rs)
+            assert frame._rotation_power(c, s, -m) == (rc, -rs)
+            rc, rs = rc * c - rs * s, rc * s + rs * c
+
 
 class TestRandomizedFrameProperties:
     def test_filiform_chain_frames_random_sizes(self):

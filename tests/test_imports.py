@@ -29,3 +29,17 @@ def test_runtime_imports_are_stdlib_or_lieinv(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 9
+
+
+def private_expr_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module == "expr") or node.module == "lieinv.expr"
+        ):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "expr.py"], ids=lambda p: p.name)
+def test_no_private_expr_names_outside_expr(path):
+    # monomial internals stay behind expr's public API (coefficients, ...)
+    assert list(private_expr_imports(path)) == []
