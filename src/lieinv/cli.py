@@ -300,7 +300,10 @@ def _parse_assignments(text):
         if "=" not in piece:
             raise argparse.ArgumentTypeError("bad assignment %r (use INDEX=VALUE)" % piece)
         k, v = piece.split("=", 1)
-        out[int(k)] = _parse_fraction(v)
+        k = int(k)
+        if k in out:
+            raise argparse.ArgumentTypeError("index %d assigned twice" % k)
+        out[k] = _parse_fraction(v)
     return out
 
 

@@ -490,7 +490,7 @@ class Poly:
                 k = need.pop(a, 0)
                 if e - k:
                     out.append((a, e - k))
-            if need:
+            if need or any(e < 0 for _, e in out):
                 raise KernelError("monomial does not divide every term")
             acc[make_monomial(out, m.ep)] = c
         return make_poly(acc)
@@ -603,8 +603,19 @@ def _from_univariate(coeffs, atom):
 
 
 def _gcd_many(polys):
+    """gcd of polys, normalized as poly_gcd's.
+
+    Once the running gcd g is nonconstant, a p that g divides exactly is
+    skipped: gcd(g, p) = g, and g is already primitive with a positive lead.
+    """
     acc = POLY_ZERO
     for p in polys:
+        if not acc.is_zero:
+            try:
+                _poly_exact_div(p, acc)
+                continue
+            except KernelError:
+                pass
         acc = poly_gcd(acc, p)
         if acc.is_one:
             return acc
@@ -1398,21 +1409,42 @@ def _outer_derivative(a):
 def substitute(f, mapping):
     """Substitute variable atoms by expressions, rebuilding canonically.
 
-    mapping: dict Atom -> Expr (or int/Fraction).  Generator arguments and
-    exponential parts are rebuilt through the smart constructors, so all
-    canonical rules (rotation extraction, integer-log collapse, ...) re-fire.
+    mapping: dict Atom -> Expr (or int/Fraction).  Entries for atoms that f
+    does not hold are dropped; when none is left, f is returned as it is,
+    being canonical already.  When both sides of f take the
+    common-denominator route of _subst_poly_common_den, they are joined into
+    one quotient and canonicalized once (_quotient): a reduced
+    transcendental-free quotient with a monic denominator is unique, so this
+    is the quotient of the substituted sides.  The gcd that make_expr
+    cancels there is mostly folded over coefficients, and the fold
+    trial-divides each coefficient by its running gcd before it computes a
+    new one (_gcd_many).  Otherwise each side is substituted on its own, and
+    generator arguments and exponential parts are rebuilt through the smart
+    constructors, so all canonical rules (rotation extraction, integer-log
+    collapse, ...) re-fire.
     """
-    mapping = {a: _coerce(v) for a, v in mapping.items()}
+    held = f.atoms()
+    mapping = {a: _coerce(v) for a, v in mapping.items() if a in held}
+    if not mapping:
+        return f
+    top = _subst_poly_common_den(f.num, mapping)
+    bottom = _subst_poly_common_den(f.den, mapping)
+    if top is not None and bottom is not None:
+        return _quotient(top, bottom, mapping)
     cache = {}
-    num = _subst_poly(f.num, mapping, cache)
-    den = _subst_poly(f.den, mapping, cache)
-    return num / den
+    if top is None:
+        num = _subst_poly(f.num, mapping, cache)
+    else:
+        num = _quotient(top, (POLY_ONE, {}), mapping)
+    if bottom is None:
+        den = _subst_poly(f.den, mapping, cache)
+    else:
+        den = _quotient(bottom, (POLY_ONE, {}), mapping)
+    return num if den.is_one() else num / den
 
 
 def _subst_poly(p, mapping, cache):
-    fast = _subst_poly_common_den(p, mapping)
-    if fast is not None:
-        return fast
+    """p with the mapping substituted term by term, in Expr arithmetic."""
     acc = EXPR_ZERO
     for m, c in p.terms.items():
         term = rational(c)
@@ -1428,15 +1460,16 @@ def _subst_poly(p, mapping, cache):
 
 
 def _subst_poly_common_den(p, mapping):
-    """p with each mapped atom a -> N_a/D_a, summed over prod D_a^k_a.
+    """(P', {a: k_a}) with p(a -> N_a/D_a) = P' / prod D_a^k_a.
 
-    k_a is the largest exponent of a in p, so the term of a monomial with
-    a^e is multiplied by N_a^e * D_a^(k_a - e); a monomial without a still
-    takes the whole D_a^k_a.  The sum is built with Poly arithmetic and
-    canonicalized by one make_expr, which cancels the exact gcd of a
-    transcendental-free quotient, so the result is the term-by-term sum.
-    Returns None unless p has no exp part and no generator atom and every
-    mapped value of an atom of p is transcendental-free.
+    k_a is the largest exponent of a mapped atom a in p, so the term of a
+    monomial with a^e is multiplied by N_a^e * D_a^(k_a - e); a monomial
+    without a still takes the whole D_a^k_a.  P' is built with Poly
+    arithmetic only; the caller canonicalizes the quotient with one
+    make_expr, whose exact gcd cancellation of a transcendental-free
+    quotient makes it the term-by-term sum.  Returns None unless p has no
+    exp part and no generator atom and every mapped value of an atom of p
+    is transcendental-free.
     """
     degree = {}
     for m in p.terms:
@@ -1448,13 +1481,11 @@ def _subst_poly_common_den(p, mapping):
             if a in mapping and e > degree.get(a, 0):
                 degree[a] = e
     factors = {}
-    den = POLY_ONE
     for a, k in degree.items():
         v = mapping[a]
         if v.has_transcendentals():
             return None
         factors[a] = [v.num.pow(e).mul(v.den.pow(k - e)) for e in range(k + 1)]
-        den = den.mul(factors[a][0])
     # monomials with equal exponents in the mapped atoms share one product
     terms = []
     for key, term in coefficients(p, factors).items():
@@ -1462,7 +1493,26 @@ def _subst_poly_common_den(p, mapping):
         for a, fs in factors.items():
             term = term.mul(fs[exps.get(a, 0)])
         terms.extend(term.terms.items())
-    return make_expr(make_poly(terms), den)
+    return make_poly(terms), degree
+
+
+def _quotient(top, bottom, mapping):
+    """(P' / prod D_a^kP_a) / (Q' / prod D_a^kQ_a), canonical.
+
+    top = (P', kP) and bottom = (Q', kQ) as _subst_poly_common_den returns
+    them.  The quotient is P' prod D_a^max(0, kQ_a - kP_a) over
+    Q' prod D_a^max(0, kP_a - kQ_a), canonicalized by one make_expr.
+    """
+    (num, k_num), (den, k_den) = top, bottom
+    if den.is_zero:
+        raise ZeroDivision("division by zero expression")
+    for a, v in mapping.items():
+        shift = k_den.get(a, 0) - k_num.get(a, 0)
+        if shift > 0:
+            num = num.mul(v.den.pow(shift))
+        elif shift < 0:
+            den = den.mul(v.den.pow(-shift))
+    return make_expr(num, den)
 
 
 def _subst_atom(a, mapping, cache):

@@ -420,6 +420,9 @@ def make_s3(n, a=None):
         a = {j: param("a%d" % j) for j in range(3, n)}
         params = tuple("a%d" % j for j in range(3, n))
     else:
+        extra = sorted(set(a) - set(range(3, n)))
+        if extra:
+            raise StructureError("drift index %d outside 3..%d" % (extra[0], n - 1))
         a = {j: _as_expr(v) for j, v in a.items()}
         for j in range(3, n):
             a.setdefault(j, EXPR_ZERO)

@@ -450,6 +450,19 @@ class TestFamily:
         assert code == EXIT_USAGE
         assert err.startswith("family error: ")
 
+    @pytest.mark.parametrize("assignments, message", [
+        ("9=1", "drift index 9 outside 3..4"),
+        ("2=1,3=1", "drift index 2 outside 3..4"),
+        ("3=1,3=2", "index 3 assigned twice"),
+    ], ids=["index-above", "index-below", "repeated-index"])
+    def test_s3_drift_assignment_it_would_drop_is_usage_error(self, assignments, message):
+        # s3 at n = 5 reads a3 and a4 only; an ignored or overwritten value
+        # must not give the output of another assignment
+        code, out, err = run(["family", "s3", "--n", "5", "--a", assignments])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "family error: %s\n" % message
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):

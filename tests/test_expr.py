@@ -1,6 +1,7 @@
 """Exact expression kernel: arithmetic, normal forms, calculus rules."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -14,7 +15,9 @@ from lieinv.expr import (
     EXPR_ZERO,
     KernelError,
     SingularPoint,
+    ZeroDivision,
     atan_of,
+    atom_str,
     coord,
     coord_atom,
     cos_of,
@@ -38,6 +41,7 @@ from lieinv.expr import (
     _PROBE_PRIME,
     _content,
     _gcd_is_constant,
+    _poly_exact_div,
     make_monomial,
     make_poly,
 )
@@ -404,6 +408,83 @@ class TestSubstituteEvaluate:
         assert expr_str(g) == "(2*x3^3 + x3^2 + x3 + 1)/(x3^3 + x3^2)"
         assert g == EXPR_ONE + X3 / (X3 + 1) + (EXPR_ONE / X3) ** 2
 
+    @staticmethod
+    def term_by_term(f, mapping):
+        """f(a -> mapping[a]) as the sum of c * prod v^e over each side's monomials."""
+
+        def side(p):
+            acc = EXPR_ZERO
+            for m, c in p.terms.items():
+                term = rational(c)
+                for a, e in m.vars:
+                    term = term * mapping.get(a, from_atom(a)) ** e
+                acc = acc + term
+            return acc
+
+        return side(f.num) / side(f.den)
+
+    def test_substitute_matches_term_by_term_reference_and_sympy(self):
+        # a pivot's shape: th1, th2 -> N/D with N, D in x (N may hold th2);
+        # the kinds are theta-free f, denominator 1, th1 on both sides with
+        # unequal degrees, and th1 and th2 anywhere; every other mapping
+        # gives th1 and th2 the same denominator
+        rng = random.Random(2006)
+        th1, th2 = theta_atom(1), theta_atom(2)
+        T2 = theta(2)
+        syms = sympy_symbols(["x1", "x2", "x3", "th1", "th2"])
+
+        def poly(atoms, degree, nterms=2):
+            """A nonzero random polynomial over atoms, total degree <= degree."""
+            while True:
+                acc = EXPR_ZERO
+                for _ in range(nterms):
+                    term = rational(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+                    for _ in range(rng.randint(0, degree)):
+                        term = term * rng.choice(atoms)
+                    acc = acc + term
+                if acc:
+                    return acc
+
+        def in_theta(degree, atoms):
+            """sum_k c_k(x) * th1^k with c_degree != 0; atoms may add th2."""
+            return sum((poly(atoms, 1) * T1 ** k for k in range(degree + 1)), EXPR_ZERO)
+
+        xs = (X1, X2, X3)
+        kinds = {"theta-free": 0, "denominator 1": 0, "unequal degrees": 0, "general": 0}
+        for trial in range(48):
+            kind = list(kinds)[trial % 4]
+            if kind == "theta-free":
+                f = poly(xs, 2, 3) / poly(xs, 2)
+            elif kind == "denominator 1":
+                f = in_theta(rng.randint(1, 3), xs + (T2,))
+            elif kind == "unequal degrees":
+                dn, dd = rng.sample(range(3), 2)
+                f = in_theta(dn, xs) / in_theta(dd, xs)
+            else:
+                f = in_theta(rng.randint(1, 2), xs + (T2,)) / in_theta(rng.randint(0, 2), xs + (T2,))
+            d1 = poly(xs, 1)
+            while d1.is_rational():
+                d1 = poly(xs, 1)
+            d2 = d1 if trial % 2 else poly(xs, 1)
+            mapping = {th1: poly(xs + (T2,), 1) / d1, th2: poly(xs, 1) / d2}
+            try:
+                expected = self.term_by_term(f, mapping)
+            except ZeroDivision:
+                with pytest.raises(ZeroDivision):
+                    substitute(f, mapping)
+                continue
+            got = substitute(f, mapping)
+            assert got == expected, (f, mapping)
+            if kind == "theta-free":
+                assert got is f
+            theirs = parse_printed(f, syms).subs(
+                {syms[atom_str(a)]: parse_printed(v, syms) for a, v in mapping.items()},
+                simultaneous=True,
+            )
+            assert sympy.cancel(parse_printed(got, syms) - theirs) == 0, (f, mapping)
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 10, kinds
+
     VARS = (coord_atom(1), coord_atom(2), coord_atom(3), theta_atom(1), param_atom("a"))
     ATOMS = (X1, X2, X3, T1, param("a"))
 
@@ -634,6 +715,71 @@ class TestPolyGcd:
         q = sympy.expand(g * (x[5] - x[2]))
         assert len(p.as_ordered_terms()) >= 50 and len(q.as_ordered_terms()) == 4
         assert self.check_against_sympy(p, q, syms, atoms) == g
+
+    def test_exact_division_by_a_monomial_that_does_not_divide_raises(self):
+        # x1^2 does not divide x1: no term may come out as x1^-1
+        with pytest.raises(KernelError, match="monomial does not divide every term"):
+            _poly_exact_div((X1 ** 3 + X1).num, (X1 ** 2).num)
+        assert _poly_exact_div((X1 ** 3 + X1 ** 2).num, (X1 ** 2).num) == (X1 + 1).num
+
+    def test_fold_matches_sympy_gcd(self):
+        # q over the shared atoms x1..x3 against p = sum_k c_k * y^k over the
+        # atoms x4, x5 that only p has: the fold starts from the nonconstant
+        # primitive part of q; some c_k are multiples of it, the others only
+        # of g; the last case is the monomial x1^2 against x1^3 + x1
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols("x1:6")
+        atoms = [coord_atom(k) for k in range(1, 6)]
+        x1, x4, x5 = syms[0], syms[3], syms[4]
+        shared = syms[:3]
+        rng = random.Random(1989)
+        nonconstant = 0
+        for trial in range(24):
+            g = self.random_sympy(rng, shared, rng.randint(1, 3))
+            b = self.random_sympy(rng, shared, rng.randint(1, 3))
+            q = sympy.expand(g * b)
+            p = 0
+            for k in range(rng.randint(2, 4)):
+                cofactor = b if rng.random() < 0.5 else 1
+                c = sympy.expand(g * cofactor * self.random_sympy(rng, shared, rng.randint(1, 3), 1))
+                p += c * rng.choice([x4, x5]) ** k
+            p = sympy.expand(p + x4 * x5 * q)
+            if g == 0 or q == 0 or p == 0:
+                continue
+            expected = self.check_against_sympy(p, q, syms, atoms)
+            nonconstant += bool(expected.free_symbols)
+        assert nonconstant >= 12
+        p = sympy.expand(x1**2 + (x1**3 + x1) * x4)
+        assert self.check_against_sympy(p, x1**2, syms, atoms) == x1
+
+    def test_fold_skips_the_coefficients_its_gcd_divides(self, monkeypatch):
+        # the shape of test_many_terms_against_few: once the running gcd
+        # divides a coefficient, the fold calls no poly_gcd for it
+        sympy = pytest.importorskip("sympy")
+        import lieinv.expr as kernel
+
+        syms = sympy.symbols("x1:13")
+        atoms = [coord_atom(k) for k in range(1, 13)]
+        x = dict(zip(range(1, 13), syms))
+        g = x[3] * x[8] - x[4] * x[7]
+        p = sympy.expand(g * self.random_sympy(random.Random(56), syms, 50))
+        q = sympy.expand(g * (x[5] - x[2]))
+        folded = []
+        gcd = kernel.poly_gcd
+
+        def counting(a, b):
+            if sys._getframe(1).f_code.co_name == "_gcd_many":
+                folded.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(kernel, "poly_gcd", counting)
+        assert self.check_against_sympy(p, q, syms, atoms) == g
+        names = dict(zip(atoms, syms))
+        tried = [(a, b) for a, b in folded if not a.is_zero]
+        assert tried, "the fold never met a coefficient its gcd does not divide"
+        for a, b in tried:
+            _, rem = sympy.div(self.to_sympy(b, names), self.to_sympy(a, names), *syms)
+            assert rem != 0, (a, b)
 
     def test_probe_no_shared_atom_is_constant(self):
         assert _gcd_is_constant((X1 + 1).num, (X2 * X3 + 1).num, {})
