@@ -33,8 +33,6 @@ from .algebra import (
     LieAlgebra,
     StructureError,
     center,
-    direct_sum,
-    is_abelian,
     is_nilpotent,
     is_solvable,
     jacobi_defects,
@@ -46,7 +44,6 @@ from .algebra import (
 from .frame import (
     MovingFrame,
     RecipeNeeded,
-    build_frame,
     exp_ad,
     jacobian_rank,
     lifted_invariants,

@@ -215,10 +215,6 @@ def is_solvable(g):
     return derived_series(g)[-1] == 0
 
 
-def is_abelian(g):
-    return not g.brackets
-
-
 def sample_fraction(rng):
     return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
 
@@ -262,21 +258,3 @@ def num_invariants(g, seed=0, trials=8, param_point=None):
     """dim g minus the generic coadjoint rank."""
     r, _ = rank_coadjoint(g, seed=seed, trials=trials, param_point=param_point)
     return g.dim - r
-
-
-def direct_sum(g1, g2, name=None):
-    dim = g1.dim + g2.dim
-    entries = {}
-    for (i, j), coeffs in g1.brackets.items():
-        entries[(i, j)] = dict(coeffs)
-    off = g1.dim
-    for (i, j), coeffs in g2.brackets.items():
-        entries[(i + off, j + off)] = {k + off: c for k, c in coeffs.items()}
-    return LieAlgebra(
-        dim,
-        entries,
-        params=tuple(dict.fromkeys(g1.params + g2.params)),
-        name=name or ("%s (+) %s" % (g1.name or "g1", g2.name or "g2")),
-        labels=g1.labels + g2.labels,
-        coord_labels=g1.coord_labels + g2.coord_labels,
-    )

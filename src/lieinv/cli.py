@@ -222,7 +222,7 @@ def cmd_verify(args):
     fmt = _fmt(args)
     try:
         f = parse_expr(args.expr)
-        _check_coordinates(f, g.dim)
+        _check_coordinates(f, g)
     except ParseError as err:
         print("expression error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
@@ -259,15 +259,18 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def _check_coordinates(f, dim):
-    """Reject frame parameters th_k and coordinates x_k outside 1..dim."""
+def _check_coordinates(f, g):
+    """Reject frame parameters th_k, coordinates x_k outside 1..dim and
+    names that g does not declare as parameters."""
     foreign = sorted(
-        (a for a in f.atoms() if a.head == "th" or (a.head == "x" and not 1 <= a.data <= dim)),
+        (a for a in f.atoms() if a.head == "th"
+         or (a.head == "x" and not 1 <= a.data <= g.dim)
+         or (a.head == "p" and a.data not in g.params)),
         key=lambda a: (a.head, a.data),
     )
     if foreign:
         raise ParseError("not a coordinate of the %d-dimensional algebra: %s"
-                         % (dim, ", ".join(map(atom_str, foreign))))
+                         % (g.dim, ", ".join(map(atom_str, foreign))))
 
 
 def _parse_blocks(text):

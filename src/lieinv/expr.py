@@ -88,13 +88,6 @@ class Atom:
     def is_generator(self):
         return self.head in _HEAD_RANK
 
-    @property
-    def arg(self):
-        """Argument expression of a generator atom."""
-        if not self.is_generator:
-            raise KernelError("atom %r has no argument" % (self.head,))
-        return self.data
-
 
 _ATOMS = {}
 
@@ -1133,20 +1126,13 @@ def exp_of(f):
         raise KernelError("unsupported exp argument (nested exponential)")
     parts = coefficients(f.num, {a for a in f.num.atoms() if a.is_generator})
     base = make_expr(parts.pop((), POLY_ZERO), f.den)
-    mult = EXPR_ONE
     terms = []
     for key, poly in parts.items():
         if len(key) > 1 or key[0][1] != 1:
             raise KernelError("unsupported exp argument (nonlinear in generators)")
-        atom, coeff = key[0][0], make_expr(poly, f.den)
-        if atom.head == "log" and coeff.is_integer():
-            mult = mult * (atom.data ** coeff.as_fraction().numerator)
-        else:
-            terms.append((atom, coeff))
-    ep = make_exppart(base, terms)
-    if ep is None:
-        return mult
-    return mult * Expr(Poly({Monomial((), ep): QONE}), POLY_ONE)
+        terms.append((key[0][0], make_expr(poly, f.den)))
+    # make_expr collapses exp(n*log u) with integer n into u**n
+    return make_expr(Poly({Monomial((), make_exppart(base, terms)): QONE}), POLY_ONE)
 
 
 def log_of(f):

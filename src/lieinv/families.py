@@ -286,7 +286,6 @@ def make_jordan(blocks, params=(), name="jordan"):
         algebra=g,
         expected_invariants=expected,
         signs={n: -1},
-        extra={"blocks": blocks},
     )
 
 
@@ -351,7 +350,6 @@ def make_s1(n, alpha, beta):
         algebra=g,
         expected_invariants=expected,
         signs={n: -1, n + 1: -1},
-        extra={"n": n, "alpha": alpha, "beta": beta, "singular": singular},
     )
 
 
@@ -379,7 +377,6 @@ def make_s2(n):
         algebra=g,
         expected_invariants=expected,
         signs={n: -1, n + 1: -1},
-        extra={"n": n},
     )
 
 
@@ -470,7 +467,6 @@ def make_s3(n, a=None):
             if params
             else None
         ),
-        extra={"n": n, "a": a, "b": b},
     )
 
 
@@ -492,7 +488,6 @@ def make_s4(n):
         algebra=g,
         expected_invariants=expected,
         signs={n: -1, n + 1: -1, n + 2: -1},
-        extra={"n": n},
     )
 
 
@@ -535,7 +530,6 @@ def make_g6_38(a=None):
         expected_invariants=expected,
         signs={6: -1},
         param_point=param_point,
-        extra={"a": a_expr},
     )
 
 

@@ -184,12 +184,6 @@ class MovingFrame:
     def thetas(self):
         return [f.theta for f in self.factors]
 
-    def matrix(self):
-        acc = Matrix.identity(self.algebra.dim)
-        for f in self.factors:
-            acc = acc.mul(f.closed)
-        return acc
-
     def exprs(self):
         """The row vector of lifted invariants x -> x . B(th)."""
         row = [coord(i) for i in range(1, self.algebra.dim + 1)]
@@ -197,18 +191,12 @@ class MovingFrame:
             row = f.closed.row_vector_times(row)
         return row
 
-    def det_formula(self):
-        """det B = exp(sum_i sign_i th_i tr(ad_i)), computed factor-wise."""
-        total = EXPR_ZERO
-        for f in self.factors:
-            total = total + rational(f.sign) * (from_atom(f.theta) * _trace(f.ad))
-        return exp_of(total)
 
+def lifted_invariants(g, signs=None):
+    """The frame of g, one factor per non-central generator 1..n.
 
-def build_frame(g, signs=None):
-    """Construct the frame for an algebra, one factor per generator 1..n.
-
-    signs: optional dict index -> +1/-1 (default +1).
+    Its exprs() are the lifted invariants.  signs: optional dict
+    index -> +1/-1 (default +1).
     """
     signs = signs or {}
     factors = []
@@ -221,11 +209,6 @@ def build_frame(g, signs=None):
         t = from_atom(th) * rational(sign)
         factors.append(FrameFactor(i, th, sign, ad, exp_ad(ad, t)))
     return MovingFrame(g, factors)
-
-
-def lifted_invariants(g, signs=None):
-    """The frame of g, whose exprs() are the lifted invariants."""
-    return build_frame(g, signs=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +239,7 @@ def _factor_point(factor, params, rng):
             for atom in entry.generator_atoms():
                 if atom.head in ("log", "atan"):
                     raise KernelError("unexpected %s inside a frame factor" % atom.head)
-                trigs[atom] = _theta_coefficient(atom.arg, theta, params)
+                trigs[atom] = _theta_coefficient(atom.data, theta, params)
     exp_den = math.lcm(1, *(q.denominator for q in exps.values()))
     trig_den = math.lcm(1, *(nu.denominator for nu in trigs.values()))
     base = Fraction(rng.randint(2, 97), rng.randint(2, 97))

@@ -375,23 +375,6 @@ def render_algebra(g):
     return "\n".join(lines) + "\n"
 
 
-def algebra_to_json(g):
-    out = {"dim": g.dim}
-    if g.name:
-        out["name"] = g.name
-    if g.params:
-        out["params"] = list(g.params)
-    brackets = []
-    for i in range(1, g.dim + 1):
-        for j in range(i + 1, g.dim + 1):
-            vec = g.bracket(i, j)
-            terms = [[k, expr_str(vec[k])] for k in sorted(vec) if not vec[k].is_zero()]
-            if terms:
-                brackets.append([i, j, terms])
-    out["brackets"] = brackets
-    return out
-
-
 def _json_value(v, kind, expected, length=None):
     """v, after checking its JSON type (bool is not an integer) and length."""
     if type(v) is not kind or (length is not None and len(v) != length):
@@ -504,29 +487,3 @@ def expr_latex(f):
     if f.den.is_one:
         return _poly_latex(f.num)
     return r"\frac{%s}{%s}" % (_poly_latex(f.num), _poly_latex(f.den))
-
-
-def bracket_latex(g):
-    """Non-zero commutation relations as LaTeX equations."""
-    out = []
-    for i in range(1, g.dim + 1):
-        for j in range(i + 1, g.dim + 1):
-            vec = g.bracket(i, j)
-            terms = []
-            for k in sorted(vec):
-                c = vec[k]
-                if c.is_zero():
-                    continue
-                s = expr_str(c)
-                if s == "1":
-                    terms.append("e_{%d}" % k)
-                elif s == "-1":
-                    terms.append("-e_{%d}" % k)
-                else:
-                    terms.append("%s e_{%d}" % (expr_latex(c), k))
-            if terms:
-                rhs = terms[0]
-                for t in terms[1:]:
-                    rhs += " - " + t[1:] if t.startswith("-") else " + " + t
-                out.append("[e_{%d},e_{%d}] = %s" % (i, j, rhs))
-    return out

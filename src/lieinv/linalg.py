@@ -47,11 +47,6 @@ class Matrix:
         zero, one = _zero_one(one)
         return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(n, m=None):
-        m = n if m is None else m
-        return Matrix([[EXPR_ZERO] * m for _ in range(n)])
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise KernelError("shape mismatch in matrix product")
@@ -107,17 +102,6 @@ class Matrix:
 
     def is_zero(self):
         return all(v.is_zero() for row in self.rows for v in row)
-
-    def is_identity(self):
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                want_one = i == j
-                v = self.rows[i][j]
-                if want_one and not v.is_one():
-                    return False
-                if not want_one and not v.is_zero():
-                    return False
-        return True
 
     def power(self, k):
         out = Matrix.identity(self.nrows)

@@ -8,8 +8,6 @@ import pytest
 from lieinv import (
     center,
     coord,
-    direct_sum,
-    is_abelian,
     is_nilpotent,
     is_solvable,
     jacobi_defects,
@@ -260,7 +258,7 @@ class TestJacobiDefectsDifferential:
 class TestSeriesAndClasses:
     def test_heisenberg_is_nilpotent(self):
         h = heisenberg()
-        assert is_nilpotent(h) and is_solvable(h) and not is_abelian(h)
+        assert is_nilpotent(h) and is_solvable(h) and h.brackets
         assert lower_central_series(h) == [3, 1, 0]
         assert derived_series(h) == [3, 1, 0]
 
@@ -277,7 +275,7 @@ class TestSeriesAndClasses:
 
     def test_abelian(self):
         a = lie_algebra(4, {})
-        assert is_abelian(a) and is_nilpotent(a) and is_solvable(a)
+        assert not a.brackets and is_nilpotent(a) and is_solvable(a)
         assert lower_central_series(a) == [4, 0]
 
     def test_center_dimensions(self):
@@ -315,7 +313,11 @@ class TestCoadjointRank:
         for _ in range(6):
             g1 = rng.choice([heisenberg(), so3(), borel2()])
             g2 = rng.choice([heisenberg(), lie_algebra(2, {}), borel2()])
-            s = direct_sum(g1, g2)
+            off = g1.dim
+            entries = dict(g1.brackets)
+            for (i, j), coeffs in g2.brackets.items():
+                entries[(i + off, j + off)] = {k + off: c for k, c in coeffs.items()}
+            s = lie_algebra(g1.dim + g2.dim, entries)
             assert s.dim == g1.dim + g2.dim
             assert validate(s) == []
             n1 = num_invariants(g1, seed=5)

@@ -321,7 +321,9 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "expression error" in err
 
-    @pytest.mark.parametrize("text", ["x3 + x4", "x0", "th1", "atan(x5)"])
+    @pytest.mark.parametrize(
+        "text", ["x3 + x4", "x0", "th1", "atan(x5)", "y", "b*x3", "e1", "log(y)"]
+    )
     def test_foreign_atoms_are_usage_errors(self, heis, text):
         code, out, err = run(["verify", heis, "--expr", text, "--central"])
         assert code == EXIT_USAGE
@@ -334,6 +336,13 @@ class TestVerify:
         assert err == (
             "expression error: not a coordinate of the 3-dimensional algebra: th2, x0, x9\n"
         )
+
+    def test_declared_parameters_are_accepted(self):
+        doc = "dim 3\nparam a\n[1,2] = a*e3\n"
+        code, out, err = run(["verify", "-", "--expr", "a*x3"], stdin=doc)
+        assert code == EXIT_OK
+        assert out == "expression: x3*a\nannihilated by all coadjoint fields: true\n"
+        assert err == ""
 
 
 class TestCentralityBound:

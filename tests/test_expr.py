@@ -227,6 +227,11 @@ class TestTranscendentalRules:
         assert exp_of(rational(2) * log_of(X1)).equals(X1 * X1)
         f = exp_of(log_of(X1) + cos_of(X2))
         assert f.equals(X1 * exp_of(cos_of(X2)))
+        # the canonical forms themselves agree, not only their values
+        assert exp_of(rational(2) * log_of(X1)) == X1 * X1
+        assert exp_of(rational(-3) * log_of(X1) + X2) == exp_of(X2) / X1**3
+        h = exp_of(rational(Fraction(1, 2)) * log_of(X1))
+        assert h * h == X1
 
     def test_nested_transcendentals_rejected(self):
         with pytest.raises(KernelError):

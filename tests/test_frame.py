@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from lieinv import (
-    build_frame,
     coord,
     exp_ad,
     jacobian_rank,
@@ -55,7 +54,7 @@ class TestExpAd:
         for i in range(1, 6):
             r = exp_ad(g.ad_matrix(i), theta(i))
             at0 = r.map(lambda e: substitute(e, {theta_atom(i): EXPR_ZERO}))
-            assert at0.is_identity()
+            assert at0 == Matrix.identity(5)
 
     def test_derivative_equals_generator_times_flow(self):
         # d/dt exp(t A) = A exp(t A), entrywise, exactly
@@ -132,7 +131,8 @@ class TestExpAd:
         for lift in lifts:
             for f in lift.factors:
                 zero = {f.theta: EXPR_ZERO}
-                assert f.closed.map(lambda e: substitute(e, zero)).is_identity()
+                at0 = f.closed.map(lambda e: substitute(e, zero))
+                assert at0 == Matrix.identity(f.closed.nrows)
                 deriv = f.closed.map(lambda e: differentiate(e, f.theta))
                 flow = f.ad.scale(rational(f.sign)).mul(f.closed)
                 assert deriv.sub(flow).is_zero(), (lift.algebra.name, f.gen_index)
@@ -140,38 +140,29 @@ class TestExpAd:
 
 class TestBuildFrame:
     def test_frame_at_zero_is_identity(self):
+        # x . B(0) = x for every x, so B(0) is the identity
         for g in (heisenberg(), filiform(5)):
-            fr = build_frame(g)
+            fr = lifted_invariants(g)
             zero = {a: EXPR_ZERO for a in fr.thetas}
-            at0 = fr.matrix().map(lambda e: substitute(e, zero))
-            assert at0.is_identity()
+            at0 = [substitute(e, zero) for e in fr.exprs()]
+            assert at0 == [coord(i) for i in range(1, g.dim + 1)]
 
     def test_unimodular_for_nilpotent(self):
-        fr = build_frame(filiform(6))
-        assert fr.det_formula().is_one()
-        assert det_exprs(fr.matrix()).is_one()
-
-    def test_det_formula_matches_determinant(self):
-        g = lie_algebra(3, {(1, 3): {1: 1}, (2, 3): {2: 2}})
-        fr = build_frame(g)
-        assert fr.det_formula().equals(det_exprs(fr.matrix()))
+        fr = lifted_invariants(filiform(6))
+        for f in fr.factors:
+            assert det_exprs(f.closed).is_one()
 
     def test_signs_flip_chosen_factors(self):
         g = heisenberg()
-        plain = build_frame(g)
-        flipped = build_frame(g, signs={2: -1})
+        plain = lifted_invariants(g)
+        flipped = lifted_invariants(g, signs={2: -1})
         assert [(f.gen_index, f.sign) for f in plain.factors] == [(1, 1), (2, 1)]
         assert [(f.gen_index, f.sign) for f in flipped.factors] == [(1, 1), (2, -1)]
-        a = theta_atom(2)
-        m_plain = plain.matrix()
-        m_flip = flipped.matrix()
-        swap = {a: -theta(2)}
-        assert (
-            m_plain.map(lambda e: substitute(e, swap)).sub(m_flip).is_zero()
-        )
+        swap = {theta_atom(2): -theta(2)}
+        assert [substitute(e, swap) for e in plain.exprs()] == flipped.exprs()
 
     def test_central_generators_contribute_no_factor(self):
-        fr = build_frame(heisenberg())
+        fr = lifted_invariants(heisenberg())
         assert [f.gen_index for f in fr.factors] == [1, 2]
         assert fr.thetas == [theta_atom(1), theta_atom(2)]
 
@@ -238,8 +229,9 @@ class TestRandomizedFrameProperties:
         for _ in range(5):
             n = rng.randint(4, 7)
             g = filiform(n)
-            fr = build_frame(g)
+            fr = lifted_invariants(g)
             zero = {a: EXPR_ZERO for a in fr.thetas}
-            assert fr.matrix().map(lambda e: substitute(e, zero)).is_identity()
+            at0 = [substitute(e, zero) for e in fr.exprs()]
+            assert at0 == [coord(i) for i in range(1, n + 1)]
             r, _ = rank_coadjoint(g, seed=rng.randint(0, 99))
-            assert jacobian_rank(lifted_invariants(g), seed=1) == r
+            assert jacobian_rank(fr, seed=1) == r
