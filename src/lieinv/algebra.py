@@ -16,9 +16,9 @@ from .expr import (
     EXPR_ZERO,
     Expr,
     KernelError,
+    QZERO,
     SingularPoint,
     coord,
-    coord_atom,
     evaluate,
     param_atom,
     rational,
@@ -225,14 +225,21 @@ def rank_coadjoint(g, seed=0, trials=8, param_point=None):
     Returns (rank, witness) where witness maps coordinate index to the
     sampled value attaining the maximal rank.  Deterministic in seed.
     Parameter atoms are taken from param_point when given, else sampled.
+
+    Each trial draws x_1..x_n and then the sampled parameters, and evaluates
+    C(x)_ij = sum_k c_ij^k x_k over Q straight from g.brackets; a point where
+    a coefficient's denominator vanishes is skipped.  C(x) is skew-symmetric,
+    so its rank is even, and it is at most the number m of basis elements
+    with a nonzero bracket: sampling stops once the rank reaches 2*floor(m/2).
     """
     rng = random.Random(seed)
-    smat = g.structure_matrix()
     n = g.dim
+    bound = len({i for pair in g.brackets for i in pair}) // 2 * 2
     best = -1
     witness = None
     for _ in range(max(1, trials)):
-        point = {coord_atom(i): sample_fraction(rng) for i in range(1, n + 1)}
+        x = [sample_fraction(rng) for _ in range(n)]
+        point = {}
         for p in g.params:
             a = param_atom(p)
             if param_point and a in param_point:
@@ -240,18 +247,31 @@ def rank_coadjoint(g, seed=0, trials=8, param_point=None):
             else:
                 point[a] = sample_fraction(rng)
         try:
-            rows = smat.map(lambda v: evaluate(v, point)).rows
+            rows = _structure_at(g, x, point)
         except SingularPoint:
             continue
         r = rank_exprs(rows)
         if r > best:
             best = r
-            witness = {i: point[coord_atom(i)] for i in range(1, n + 1)}
-        if best == n:
+            witness = dict(enumerate(x, start=1))
+        if best == bound:
             break
     if best < 0:
         raise KernelError("all sample points were singular")
     return best, witness
+
+
+def _structure_at(g, x, point):
+    """C(x) over Q at coordinates x (0-based) and parameter values point."""
+    n = g.dim
+    rows = [[QZERO] * n for _ in range(n)]
+    for (i, j), coeffs in g.brackets.items():
+        v = QZERO
+        for k, c in coeffs.items():
+            v += (c.as_fraction() if c.is_rational() else evaluate(c, point)) * x[k - 1]
+        rows[i - 1][j - 1] = v
+        rows[j - 1][i - 1] = -v
+    return rows
 
 
 def num_invariants(g, seed=0, trials=8, param_point=None):

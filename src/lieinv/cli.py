@@ -262,15 +262,20 @@ def cmd_verify(args):
 def _check_coordinates(f, g):
     """Reject frame parameters th_k, coordinates x_k outside 1..dim and
     names that g does not declare as parameters."""
+    atoms = f.atoms()
     foreign = sorted(
-        (a for a in f.atoms() if a.head == "th"
-         or (a.head == "x" and not 1 <= a.data <= g.dim)
-         or (a.head == "p" and a.data not in g.params)),
+        (a for a in atoms if a.head == "th" or (a.head == "x" and not 1 <= a.data <= g.dim)),
         key=lambda a: (a.head, a.data),
     )
+    undeclared = sorted(a.data for a in atoms if a.head == "p" and a.data not in g.params)
+    problems = []
     if foreign:
-        raise ParseError("not a coordinate of the %d-dimensional algebra: %s"
-                         % (g.dim, ", ".join(map(atom_str, foreign))))
+        problems.append("not a coordinate of the %d-dimensional algebra: %s"
+                        % (g.dim, ", ".join(map(atom_str, foreign))))
+    if undeclared:
+        problems.append("undeclared parameter: %s" % ", ".join(undeclared))
+    if problems:
+        raise ParseError("; ".join(problems))
 
 
 def _parse_blocks(text):
@@ -387,6 +392,18 @@ def cmd_family(args):
 # argument parsing
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lieinv",
@@ -394,8 +411,8 @@ def build_parser():
         "by the moving-frames normalization method.",
     )
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument("--trials", type=int, default=8, help="sampling trials")
-    parser.add_argument("--degree-bound", type=int, default=6,
+    parser.add_argument("--trials", type=_int_at_least(1), default=8, help="sampling trials")
+    parser.add_argument("--degree-bound", type=_int_at_least(0), default=6,
                         help="degree bound for centrality checks")
     parser.add_argument("--latex", action="store_true", help="render expressions as LaTeX")
     parser.add_argument("--format", choices=("text", "json"), default="text")

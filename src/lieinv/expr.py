@@ -240,15 +240,35 @@ class Monomial:
         return 0
 
     def mul(self, other):
+        """The product: one merge of the two skey-sorted vars tuples.
+
+        Exponents are positive, so no merged exponent vanishes.
+        """
         if not other.vars and other.ep is None:
             return self
         if not self.vars and self.ep is None:
             return other
-        acc = dict(self.vars)
-        for a, e in other.vars:
-            acc[a] = acc.get(a, 0) + e
+        v1, v2 = self.vars, other.vars
+        n1, n2 = len(v1), len(v2)
+        out = []
+        i = j = 0
+        while i < n1 and j < n2:
+            a1, e1 = v1[i]
+            a2, e2 = v2[j]
+            if a1 is a2:
+                out.append((a1, e1 + e2))
+                i += 1
+                j += 1
+            elif a1.skey < a2.skey:
+                out.append(v1[i])
+                i += 1
+            else:
+                out.append(v2[j])
+                j += 1
+        out.extend(v1[i:])
+        out.extend(v2[j:])
         ep = self.ep.merged(other.ep) if self.ep is not None else other.ep
-        return make_monomial(acc.items(), ep)
+        return Monomial(tuple(out), ep)
 
     def without(self, atom, k):
         """Divide out atom**k (k must not exceed the stored exponent)."""
@@ -1006,6 +1026,10 @@ def make_expr(num, den):
         raise ZeroDivision("zero denominator")
     if num.is_zero:
         return EXPR_ZERO
+    # a polynomial without exp parts is canonical over 1: every step below
+    # would be the identity on it
+    if den.is_one and all(m.ep is None for m in num.terms):
+        return Expr(num, den)
     # clear the exponential of the denominator's leading monomial
     wlead = den.lead()[0].ep
     if wlead is not None:

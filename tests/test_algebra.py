@@ -17,10 +17,13 @@ from lieinv import (
     rank_coadjoint,
     validate,
 )
+from lieinv import algebra
 from lieinv.algebra import StructureError, derived_series, lower_central_series
-from lieinv.expr import expr_str, rational
-from lieinv.families import builtin_instances
-from test_acceptance import _jacobi_fails_oracle
+from lieinv.expr import KernelError, SingularPoint, coord_atom, evaluate, expr_str, param_atom, rational
+from lieinv.families import builtin_instances, make_jordan, make_t0
+from lieinv.io import load_algebra
+from lieinv.linalg import rank_exprs
+from test_acceptance import PAIR_ROWS, _jacobi_fails_oracle
 
 
 def heisenberg():
@@ -323,3 +326,93 @@ class TestCoadjointRank:
             n1 = num_invariants(g1, seed=5)
             n2 = num_invariants(g2, seed=5)
             assert num_invariants(s, seed=5) == n1 + n2
+
+
+def reference_rank(g, seed=0, trials=8, param_point=None):
+    """rank_coadjoint by the Expr route: g.structure_matrix() with every
+    entry evaluated at the point, rank_exprs over Q, and sampling stopped
+    only at full rank.  Same draws, in the same order, as rank_coadjoint."""
+    rng = random.Random(seed)
+    smat = g.structure_matrix()
+    n = g.dim
+    best, witness = -1, None
+    for _ in range(trials):
+        point = {coord_atom(i): algebra.sample_fraction(rng) for i in range(1, n + 1)}
+        for p in g.params:
+            a = param_atom(p)
+            if param_point and a in param_point:
+                point[a] = Fraction(param_point[a])
+            else:
+                point[a] = algebra.sample_fraction(rng)
+        try:
+            rows = smat.map(lambda v: evaluate(v, point)).rows
+        except SingularPoint:
+            continue
+        r = rank_exprs(rows)
+        if r > best:
+            best = r
+            witness = {i: point[coord_atom(i)] for i in range(1, n + 1)}
+        if best == n:
+            break
+    if best < 0:
+        raise KernelError("all sample points were singular")
+    return best, witness
+
+
+RANK_INSTANCES = builtin_instances() + [make_jordan(blocks) for blocks in PAIR_ROWS]
+
+# 1/(a - 1) has a pole at a = 1; Jacobi holds: [[e1,e2],e3] + [[e3,e1],e2] = 0
+POLE_DOC = "dim 3\nparam a\n[1,2] = e3/(a - 1)\n[1,3] = -e2\n"
+
+
+class TestCoadjointRankFromBrackets:
+    """rank_coadjoint reads C(x) from g.brackets and stops at the even bound."""
+
+    @pytest.mark.parametrize(
+        "inst", RANK_INSTANCES, ids=[inst.algebra.name or str(k) for k, inst in enumerate(RANK_INSTANCES)]
+    )
+    def test_matches_the_expr_route(self, inst):
+        g = inst.algebra
+        for seed in range(5):
+            for point in (None, inst.param_point):
+                got = rank_coadjoint(g, seed=seed, param_point=point)
+                assert got == reference_rank(g, seed=seed, param_point=point), (seed, point)
+
+    @pytest.mark.parametrize("inst, draws", [
+        # t0(4): the corner matrix unit is central, m = 5; rank 4 = 2*floor(5/2) at the first point
+        (make_t0(4), 6),
+        # t0(5): the corner matrix unit is central, m = 9; rank 8 = 2*floor(9/2) at the first point
+        (make_t0(5), 10),
+        # J0(5): m = 5 but the rank is 2 < 4, so all 8 trials run
+        (make_jordan([("jordan", 0, 4)]), 8 * 5),
+    ])
+    def test_sampling_stops_at_the_even_bound(self, monkeypatch, inst, draws):
+        real = algebra.sample_fraction
+        calls = []
+        monkeypatch.setattr(algebra, "sample_fraction", lambda rng: calls.append(1) or real(rng))
+        rank_coadjoint(inst.algebra, seed=0)
+        assert len(calls) == draws
+
+    def test_singular_points_are_skipped(self, monkeypatch):
+        g = load_algebra(POLE_DOC)
+        real = algebra.sample_fraction
+        results = []
+        for route in (rank_coadjoint, reference_rank):
+            # x1..x3, then a at its pole; later draws are the seeded ones
+            draws = iter([Fraction(2), Fraction(3), Fraction(5), Fraction(1)])
+            monkeypatch.setattr(algebra, "sample_fraction", lambda rng: next(draws, None) or real(rng))
+            results.append(route(g, seed=3))
+        assert results[0] == results[1]
+        rank, witness = results[0]
+        assert rank == 2
+        assert witness != {1: 2, 2: 3, 3: 5}
+
+    def test_pole_at_the_parameter_point_raises(self):
+        g = load_algebra(POLE_DOC)
+        point = {param_atom("a"): Fraction(1)}
+        for route in (rank_coadjoint, reference_rank):
+            with pytest.raises(KernelError, match="all sample points were singular"):
+                route(g, seed=0, param_point=point)
+        assert rank_coadjoint(g, seed=0, param_point={param_atom("a"): Fraction(2)}) == (
+            reference_rank(g, seed=0, param_point={param_atom("a"): Fraction(2)})
+        )

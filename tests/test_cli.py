@@ -321,14 +321,24 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "expression error" in err
 
-    @pytest.mark.parametrize(
-        "text", ["x3 + x4", "x0", "th1", "atan(x5)", "y", "b*x3", "e1", "log(y)"]
-    )
+    FOREIGN = {
+        "x3 + x4": "not a coordinate of the 3-dimensional algebra: x4",
+        "x0": "not a coordinate of the 3-dimensional algebra: x0",
+        "th1": "not a coordinate of the 3-dimensional algebra: th1",
+        "atan(x5)": "not a coordinate of the 3-dimensional algebra: x5",
+        "y": "undeclared parameter: y",
+        "b*x3": "undeclared parameter: b",
+        "e1": "undeclared parameter: e1",
+        "log(y)": "undeclared parameter: y",
+        "y + x9 + b": "not a coordinate of the 3-dimensional algebra: x9; undeclared parameter: b, y",
+    }
+
+    @pytest.mark.parametrize("text", list(FOREIGN))
     def test_foreign_atoms_are_usage_errors(self, heis, text):
         code, out, err = run(["verify", heis, "--expr", text, "--central"])
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("expression error: not a coordinate of the 3-dimensional algebra: ")
+        assert err == "expression error: %s\n" % self.FOREIGN[text]
 
     def test_foreign_atoms_are_listed(self, heis):
         code, _, err = run(["verify", heis, "--expr", "x1*th2 + x9 + x0"])
@@ -483,6 +493,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "somefile"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--trials", "0", "argument --trials: expected an integer >= 1, got 0"),
+        ("--trials", "-3", "argument --trials: expected an integer >= 1, got -3"),
+        ("--trials", "many", "argument --trials: expected an integer, got 'many'"),
+        ("--degree-bound", "-1", "argument --degree-bound: expected an integer >= 0, got -1"),
+    ])
+    def test_sampling_and_degree_options_out_of_range(self, heis, capsys, option, value, message):
+        # --trials 0 used to sample once and --degree-bound -1 was accepted
+        with pytest.raises(SystemExit) as exc:
+            main([option, value, "info", heis])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "lieinv: error: " + message
+
+    def test_lowest_sampling_and_degree_options_are_accepted(self, heis):
+        code, out, _ = run(["--trials", "1", "info", heis])
+        assert code == EXIT_OK and "coadjoint rank: 2" in out
+        code, out, _ = run(["--degree-bound", "0", "verify", heis, "--expr", "x3", "--central"])
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            "centrality check unavailable: degree 1 exceeds the centrality bound 0"
+        )
 
     def test_closed_stdout_exits_quietly(self):
         # as in `lieinv invariants - | head -0`: the reader is gone first

@@ -13,7 +13,9 @@ from sympy.parsing.sympy_parser import parse_expr
 from lieinv.expr import (
     EXPR_ONE,
     EXPR_ZERO,
+    Expr,
     KernelError,
+    POLY_ONE,
     SingularPoint,
     ZeroDivision,
     atan_of,
@@ -42,6 +44,7 @@ from lieinv.expr import (
     _content,
     _gcd_is_constant,
     _poly_exact_div,
+    make_expr,
     make_monomial,
     make_poly,
 )
@@ -570,6 +573,72 @@ class TestStructureQueries:
         f = X1 * X3 - rational(Fraction(1, 2)) * X2 * X2
         assert expr_str(f) == "x1*x3 - 1/2*x2^2"
         assert expr_str(f) == expr_str(X1 * X3 - X2 * X2 / rational(2))
+
+
+class TestCanonicalShortCuts:
+    """Each kernel short cut gives the Expr of the full canonicalization."""
+
+    @staticmethod
+    def mul_reference(m1, m2):
+        """Monomial product by the dict merge and make_monomial's sort."""
+        acc = dict(m1.vars)
+        for a, e in m2.vars:
+            acc[a] = acc.get(a, 0) + e
+        ep = m1.ep.merged(m2.ep) if m1.ep is not None else m2.ep
+        return make_monomial(acc.items(), ep)
+
+    @staticmethod
+    def random_exprs(rng, count):
+        out = []
+        while len(out) < count:
+            f = random_transcendental_expr(rng) if rng.random() < 0.6 else random_rational_expr(rng)
+            if not f.is_zero():
+                out.append(f)
+        return out
+
+    def test_monomial_mul_matches_the_dict_merge(self):
+        rng = random.Random(2701)
+        pool = [m for f in self.random_exprs(rng, 40) for poly in (f.num, f.den) for m in poly.terms]
+        pool += [m for m in (exp_of(X1 + log_of(X2 + 1)) * X2 * theta(1)).num.terms]
+        assert any(m.ep is not None for m in pool)
+        for _ in range(600):
+            m1, m2 = rng.choice(pool), rng.choice(pool)
+            got, want = m1.mul(m2), self.mul_reference(m1, m2)
+            assert got == want
+            assert got.vars == want.vars and got.degree == want.degree
+
+    def test_polynomial_over_one_matches_the_full_route_and_sympy(self):
+        # the full route is forced by a common factor c*M of numerator and
+        # denominator: make_expr cancels M, runs the gcd step and scales the
+        # denominator monic before it reaches the same quotient
+        rng = random.Random(2702)
+        syms = sympy_symbols(["x1", "x2", "x3"])
+        seen = 0
+        for f in self.random_exprs(rng, 80):
+            for num in (f.num, f.den):
+                if num.is_one or any(m.ep is not None for m in num.terms):
+                    continue
+                seen += 1
+                c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                factor = (X1 * X2 ** rng.randint(0, 2) * rational(c)).num
+                quick = make_expr(num, POLY_ONE)
+                assert quick.num is num and quick.den is POLY_ONE
+                full = make_expr(num.mul(factor), factor)
+                assert quick == full
+                if not num.has_transcendentals():
+                    sp_factor = parse_printed(Expr(factor, POLY_ONE), syms)
+                    oracle = sympy.cancel(parse_printed(Expr(num.mul(factor), POLY_ONE), syms) / sp_factor)
+                    assert sympy.expand(oracle - parse_printed(quick, syms)) == 0
+        assert seen >= 40
+
+    def test_integer_logs_fold_before_a_rational_factor(self):
+        # exp(2*log(3)) = 9 is rational: the product with it must still fold
+        # the other integer log into a power
+        f = exp_of(rational(2) * log_of(rational(3)) + rational(3) * log_of(X1))
+        assert f == rational(9) * X1**3
+        assert exp_of(rational(2) * log_of(rational(3)) + rational(3) * log_of(X1) + X2) == (
+            rational(9) * X1**3 * exp_of(X2)
+        )
 
 
 class TestPolyGcd:
