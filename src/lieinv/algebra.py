@@ -231,13 +231,16 @@ def rank_coadjoint(g, seed=0, trials=8, param_point=None):
     a coefficient's denominator vanishes is skipped.  C(x) is skew-symmetric,
     so its rank is even, and it is at most the number m of basis elements
     with a nonzero bracket: sampling stops once the rank reaches 2*floor(m/2).
+    Raises ValueError when trials < 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %r" % (trials,))
     rng = random.Random(seed)
     n = g.dim
     bound = len({i for pair in g.brackets for i in pair}) // 2 * 2
     best = -1
     witness = None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         x = [sample_fraction(rng) for _ in range(n)]
         point = {}
         for p in g.params:

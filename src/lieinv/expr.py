@@ -25,7 +25,10 @@ Canonical rules enforced on construction:
 * exp(n*log(u)) with integer n collapses to u**n;
 * fractions clear a common exponential factor and a common monomial factor,
   divide out the polynomial gcd when both sides are transcendental-free, and
-  keep a monic denominator.
+  keep a monic denominator;
+* a coefficient is an int when it is integral and a Fraction with
+  denominator > 1 otherwise (_coeff); a coefficient division keeps a
+  Fraction on the left (QONE / c), so it never gives a float.
 
 Zero-testing is structural on the canonical form.  Distinct generator atoms
 (and exponentials of inequivalent w) are treated as algebraically independent
@@ -231,7 +234,7 @@ class Monomial:
         )
 
     def __repr__(self):
-        return "Monomial(%s)" % (monomial_str(self, QONE),)
+        return "Monomial(%s)" % (monomial_str(self, 1),)
 
     def exponent(self, atom):
         for a, e in self.vars:
@@ -330,8 +333,19 @@ _MONO_KEY = cmp_to_key(_cmp_monomial)
 # polynomials
 
 
+def _coeff(c):
+    """The stored form of a coefficient: an int when c is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class Poly:
-    """Sum of monomials with Fraction coefficients, canonically reduced."""
+    """Sum of monomials with nonzero coefficients, canonically reduced.
+
+    A coefficient is an int when integral and a Fraction with denominator
+    > 1 otherwise: Poly(terms) stores terms as given, and every method and
+    builder that makes a new coefficient applies _coeff.  Equal int and
+    Fraction values compare and hash equal, so equality does not change.
+    """
 
     __slots__ = ("terms", "_items", "_hash")
 
@@ -367,7 +381,8 @@ class Poly:
 
     @property
     def is_one(self):
-        return len(self.terms) == 1 and self.terms.get(MONO_ONE) == QONE
+        c = self.terms.get(MONO_ONE) if len(self.terms) == 1 else None
+        return c is not None and c == 1
 
     def lead(self):
         return self.items()[0]
@@ -385,9 +400,9 @@ class Poly:
             return self
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            tot = acc.get(m, QZERO) + c
+            tot = acc.get(m, 0) + c
             if tot:
-                acc[m] = tot
+                acc[m] = _coeff(tot)
             else:
                 acc.pop(m, None)
         return Poly(acc)
@@ -409,8 +424,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1.mul(m2)
-                c = c1 * c2
-                tot = acc.get(m, QZERO) + c
+                tot = acc.get(m, 0) + c1 * c2
                 if tot:
                     acc[m] = tot
                 else:
@@ -420,11 +434,11 @@ class Poly:
     def scale(self, q):
         if not q:
             return POLY_ZERO
-        if q == QONE:
+        if q == 1:
             return self
-        return Poly({m: c * q for m, c in self.terms.items()})
+        return Poly({m: _coeff(c * q) for m, c in self.terms.items()})
 
-    def mul_monomial(self, mono, q=QONE):
+    def mul_monomial(self, mono, q=1):
         acc = {}
         for m, c in self.terms.items():
             acc[m.mul(mono)] = c * q
@@ -438,7 +452,7 @@ class Poly:
         for m, c in self.terms.items():
             nep = m.ep.merged(ep) if m.ep is not None else ep
             key = m.with_ep(nep)
-            tot = acc.get(key, QZERO) + c
+            tot = acc.get(key, 0) + c
             if tot:
                 acc[key] = tot
             else:
@@ -511,14 +525,14 @@ class Poly:
 
 def make_poly(terms):
     """Build a polynomial, rewriting sin(u)^k with k >= 2 via sin^2 = 1 - cos^2."""
-    acc = {m: c for m, c in terms.items() if c} if isinstance(terms, dict) else {}
+    acc = {m: _coeff(c) for m, c in terms.items() if c} if isinstance(terms, dict) else {}
     if not isinstance(terms, dict):
         for m, c in terms:
             if not c:
                 continue
-            tot = acc.get(m, QZERO) + c
+            tot = acc.get(m, 0) + c
             if tot:
-                acc[m] = tot
+                acc[m] = _coeff(tot)
             else:
                 acc.pop(m, None)
     while True:
@@ -539,28 +553,24 @@ def make_poly(terms):
         cos_a = _gen_atom("cos", a.data)
         # sin^e = sin^rem * (1 - cos^2)^half
         for t in range(half + 1):
-            coeff = c * Fraction(math.comb(half, t) * (-1) ** t)
+            coeff = c * math.comb(half, t) * (-1) ** t
             extra = [(cos_a, 2 * t)]
             if rem:
                 extra.append((a, 1))
             piece = base.mul(make_monomial(extra, None))
-            tot = acc.get(piece, QZERO) + coeff
+            tot = acc.get(piece, 0) + coeff
             if tot:
-                acc[piece] = tot
+                acc[piece] = _coeff(tot)
             else:
                 acc.pop(piece, None)
 
 
 POLY_ZERO = Poly({})
-POLY_ONE = Poly({MONO_ONE: QONE})
-
-
-def poly_const(q):
-    return Poly({MONO_ONE: q}) if q else POLY_ZERO
+POLY_ONE = Poly({MONO_ONE: 1})
 
 
 def poly_var(atom):
-    return Poly({make_monomial([(atom, 1)], None): QONE})
+    return Poly({make_monomial([(atom, 1)], None): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +584,19 @@ _PROBE_RNG = random.Random(1971)
 
 
 def _content(p):
-    """Signed rational content: p / content is primitive with positive lead."""
+    """Signed rational content: p / content is primitive with positive lead.
+
+    gcd(numerators) and lcm(denominators) are coprime, so the quotient is
+    reduced as built.
+    """
     if p.is_zero:
-        return QONE
+        return 1
     coeffs = p.terms.values()
-    cont = Fraction(
-        math.gcd(*[c.numerator for c in coeffs]),
-        math.lcm(*[c.denominator for c in coeffs]),
-    )
+    num = math.gcd(*[c.numerator for c in coeffs])
+    den = math.lcm(*[c.denominator for c in coeffs])
     if p.lead()[1] < 0:
-        cont = -cont
-    return cont
+        num = -num
+    return num if den == 1 else Fraction(num, den)
 
 
 def coefficients(p, atoms):
@@ -878,7 +890,7 @@ class Expr:
     def as_fraction(self):
         if not self.is_rational():
             raise KernelError("not a rational constant: %s" % self.skey())
-        return self.num.terms.get(MONO_ONE, QZERO)
+        return Fraction(self.num.terms.get(MONO_ONE, 0))
 
     def is_integer(self):
         return self.is_rational() and self.as_fraction().denominator == 1
@@ -1061,7 +1073,7 @@ def make_expr(num, den):
             den = _poly_exact_div(den, g)
     # monic denominator
     lc = den.lead()[1]
-    if lc != QONE:
+    if lc != 1:
         inv = QONE / lc
         num = num.scale(inv)
         den = den.scale(inv)
@@ -1106,15 +1118,14 @@ EXPR_ONE = Expr(POLY_ONE, POLY_ONE)
 
 
 def rational(q):
-    if isinstance(q, int):
-        q = Fraction(q)
-    if not isinstance(q, Fraction):
+    if not isinstance(q, (int, Fraction)):
         raise KernelError("expected int or Fraction, got %r" % (q,))
+    q = _coeff(q)
     if q == 0:
         return EXPR_ZERO
     if q == 1:
         return EXPR_ONE
-    return Expr(poly_const(q), POLY_ONE)
+    return Expr(Poly({MONO_ONE: q}), POLY_ONE)
 
 
 def from_atom(atom):
@@ -1156,7 +1167,7 @@ def exp_of(f):
             raise KernelError("unsupported exp argument (nonlinear in generators)")
         terms.append((key[0][0], make_expr(poly, f.den)))
     # make_expr collapses exp(n*log u) with integer n into u**n
-    return make_expr(Poly({Monomial((), make_exppart(base, terms)): QONE}), POLY_ONE)
+    return make_expr(Poly({Monomial((), make_exppart(base, terms)): 1}), POLY_ONE)
 
 
 def log_of(f):
@@ -1174,7 +1185,7 @@ def _log_poly(p):
     if len(p.terms) == 1:
         (m, c), = p.terms.items()
         acc = EXPR_ZERO
-        if c != QONE:
+        if c != 1:
             acc = acc + from_atom(_log_const_atom(c))
         for a, e in m.vars:
             if a.is_generator:
@@ -1191,11 +1202,11 @@ def _log_poly(p):
         raise KernelError("log of a transcendental polynomial")
     common = p.common_monomial()
     if common.vars:
-        return _log_poly(Poly({common: QONE})) + _log_poly(p.div_monomial(common))
+        return _log_poly(Poly({common: 1})) + _log_poly(p.div_monomial(common))
     cont = _content(p)
     prim = p.scale(QONE / cont)
     acc = from_atom(_gen_atom("log", Expr(prim, POLY_ONE)))
-    if cont != QONE:
+    if cont != 1:
         acc = acc + from_atom(_log_const_atom(cont))
     return acc
 
@@ -1396,9 +1407,9 @@ class Derivation:
 def _accumulate(groups, den, poly):
     acc = groups.setdefault(den, {})
     for m, c in poly.terms.items():
-        tot = acc.get(m, QZERO) + c
+        tot = acc.get(m, 0) + c
         if tot:
-            acc[m] = tot
+            acc[m] = _coeff(tot)
         else:
             del acc[m]
 
@@ -1554,7 +1565,7 @@ def evaluate(f, point):
 
 
 def _eval_poly(p, point):
-    tot = QZERO
+    tot = QZERO  # a Fraction, so that evaluate never divides int by int
     for m, c in p.terms.items():
         v = c
         if m.ep is not None:
@@ -1581,7 +1592,7 @@ def frac_str(q):
 
 def monomial_str(m, coeff):
     parts = []
-    if coeff != QONE or (not m.vars and m.ep is None):
+    if coeff != 1 or (not m.vars and m.ep is None):
         parts.append(frac_str(coeff))
     for a, e in m.vars:
         s = atom_str(a)

@@ -283,7 +283,10 @@ def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
 
     Deterministic in seed; the maximum over the requested trials is
     returned.  This equals the coadjoint orbit dimension generically.
+    Raises ValueError when trials < 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %r" % (trials,))
     g = lifted.algebra
     n = g.dim
     rng = random.Random(seed)
@@ -296,7 +299,7 @@ def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
             params[a] = sample_fraction(rng)
     ads = [f.ad.map(lambda v: evaluate(v, params)) for f in lifted.factors]
     best = 0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         xhat = [sample_fraction(rng) for _ in range(n)]
         try:
             points = [_factor_point(f, params, rng) for f in lifted.factors]

@@ -411,8 +411,11 @@ def functionally_equivalent(first, second, g, seed=0, trials=6, param_point=None
     Substitutes random rational coordinates, leaving residual transcendental
     values as formal field elements, and compares the ranks of the two
     Jacobians and of their union; equality of generic ranks in all three
-    positions over the sampled points decides the answer.
+    positions over the sampled points decides the answer.  Raises
+    ValueError when trials < 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %r" % (trials,))
     rng = random.Random(seed)
     n = g.dim
     subs = {}
@@ -427,7 +430,7 @@ def functionally_equivalent(first, second, g, seed=0, trials=6, param_point=None
         [differentiate(f, coord_atom(i)) for i in range(1, n + 1)] for f in seconds
     ]
     best = None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         point = {coord_atom(i): rational(sample_fraction(rng)) for i in range(1, n + 1)}
         try:
             rows_a = [[substitute(v, point) for v in row] for row in grad_a]

@@ -303,6 +303,14 @@ class TestCoadjointRank:
         assert r == 2
         assert witness is not None
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1, got %d" % trials):
+            rank_coadjoint(heisenberg(), seed=1, trials=trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            num_invariants(heisenberg(), seed=1, trials=trials)
+        assert rank_coadjoint(heisenberg(), seed=1, trials=1)[0] == 2
+
     def test_rank_is_even(self):
         # the structure matrix is antisymmetric, so ranks are even
         rng = random.Random(73)

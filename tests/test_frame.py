@@ -204,6 +204,13 @@ class TestLiftedInvariants:
         assert jacobian_rank(lifted_invariants(g), seed=2) == 2
         assert rank_coadjoint(g, seed=2)[0] == 2
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_jacobian_rank_rejects_fewer_than_one_trial(self, trials):
+        lift = lifted_invariants(heisenberg())
+        with pytest.raises(ValueError, match="trials must be at least 1, got %d" % trials):
+            jacobian_rank(lift, seed=2, trials=trials)
+        assert jacobian_rank(lift, seed=2, trials=1) == 2
+
     def test_jacobian_rank_on_pair_rows(self):
         # the frequency-2 rotation rows sample cos/sin of twice a rational
         # angle, which goes through the squaring step of _rotation_power

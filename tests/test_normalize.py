@@ -309,6 +309,14 @@ class TestFunctionalEquivalence:
         assert not functionally_equivalent([a], [a, b], g, seed=7)
         assert not functionally_equivalent([a, b], [a, coord(2)], g, seed=7)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        inst = make_jordan([("jordan", 0, 3)])
+        a, b = inst.expected_invariants
+        with pytest.raises(ValueError, match="trials must be at least 1, got %d" % trials):
+            functionally_equivalent([a, b], [b, a], inst.algebra, seed=7, trials=trials)
+        assert functionally_equivalent([a, b], [b, a], inst.algebra, seed=7, trials=1)
+
     def test_respects_parameter_point(self):
         inst = make_s1(5, 1, -3)
         assert functionally_equivalent(
