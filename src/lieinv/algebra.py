@@ -219,49 +219,60 @@ def sample_fraction(rng):
     return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
 
 
+def sampled_rank(g, rows_at, seed=0, trials=8, param_point=None, bound=None):
+    """Maximum ranks of row sets over exact rational sample points of g.
+
+    Each trial draws x_1..x_n, then each parameter of g in order unless
+    param_point fixes it, and ranks each row set of rows_at(x, params, rng)
+    (x a 0-based list, params atom -> Fraction; rows_at may draw more).  A
+    trial raising SingularPoint is skipped; sampling stops once the first
+    rank equals bound.  Returns (ranks, witness), witness mapping index to
+    x of the first trial reaching the largest first rank.  Raises
+    ValueError when trials < 1, KernelError when every trial is singular.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %r" % (trials,))
+    rng = random.Random(seed)
+    best = witness = None
+    for _ in range(trials):
+        x = [sample_fraction(rng) for _ in range(g.dim)]
+        params = {}
+        for p in g.params:
+            a = param_atom(p)
+            fixed = param_point and a in param_point
+            params[a] = Fraction(param_point[a]) if fixed else sample_fraction(rng)
+        try:
+            ranks = [rank_exprs(rows) for rows in rows_at(x, params, rng)]
+        except SingularPoint:
+            continue
+        if best is None or ranks[0] > best[0]:
+            witness = dict(enumerate(x, start=1))
+        best = ranks if best is None else [max(r, b) for r, b in zip(ranks, best)]
+        if best[0] == bound:
+            break
+    if best is None:
+        raise KernelError("all sample points were singular")
+    return best, witness
+
+
 def rank_coadjoint(g, seed=0, trials=8, param_point=None):
-    """Generic rank of the coadjoint structure matrix by exact sampling.
+    """Generic rank of the coadjoint structure matrix, by sampled_rank.
 
     Returns (rank, witness) where witness maps coordinate index to the
     sampled value attaining the maximal rank.  Deterministic in seed.
     Parameter atoms are taken from param_point when given, else sampled.
 
-    Each trial draws x_1..x_n and then the sampled parameters, and evaluates
-    C(x)_ij = sum_k c_ij^k x_k over Q straight from g.brackets; a point where
-    a coefficient's denominator vanishes is skipped.  C(x) is skew-symmetric,
-    so its rank is even, and it is at most the number m of basis elements
-    with a nonzero bracket: sampling stops once the rank reaches 2*floor(m/2).
-    Raises ValueError when trials < 1.
+    C(x)_ij = sum_k c_ij^k x_k is evaluated over Q straight from g.brackets.
+    C(x) is skew-symmetric, so its rank is even, and it is at most the
+    number m of basis elements with a nonzero bracket: sampling stops once
+    the rank reaches 2*floor(m/2).  Raises sampled_rank's ValueError and
+    KernelError.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1, got %r" % (trials,))
-    rng = random.Random(seed)
-    n = g.dim
     bound = len({i for pair in g.brackets for i in pair}) // 2 * 2
-    best = -1
-    witness = None
-    for _ in range(trials):
-        x = [sample_fraction(rng) for _ in range(n)]
-        point = {}
-        for p in g.params:
-            a = param_atom(p)
-            if param_point and a in param_point:
-                point[a] = Fraction(param_point[a])
-            else:
-                point[a] = sample_fraction(rng)
-        try:
-            rows = _structure_at(g, x, point)
-        except SingularPoint:
-            continue
-        r = rank_exprs(rows)
-        if r > best:
-            best = r
-            witness = dict(enumerate(x, start=1))
-        if best == bound:
-            break
-    if best < 0:
-        raise KernelError("all sample points were singular")
-    return best, witness
+    (rank,), witness = sampled_rank(
+        g, lambda x, params, rng: [_structure_at(g, x, params)], seed, trials, param_point, bound
+    )
+    return rank, witness
 
 
 def _structure_at(g, x, point):

@@ -315,25 +315,35 @@ def _parse_assignments(text):
     return out
 
 
-# name -> (required options, builder of the FamilyInstance from the parsed arguments)
+# name -> (required options, optional options, builder of the FamilyInstance
+# from the parsed arguments)
 _FAMILIES = {
-    "t0": (("n",), lambda args: make_t0(args.n)),
-    "jordan": (("blocks",), lambda args: make_jordan(_parse_blocks(args.blocks))),
-    "s1": (("n", "alpha", "beta"), lambda args: make_s1(args.n, args.alpha, args.beta)),
-    "s2": (("n",), lambda args: make_s2(args.n)),
-    "s3": (("n",), lambda args: make_s3(args.n, a=_parse_assignments(args.a) if args.a else None)),
-    "s4": (("n",), lambda args: make_s4(args.n)),
-    "g6_38": ((), lambda args: make_g6_38(None if args.a is None else _parse_fraction(args.a))),
+    "t0": (("n",), (), lambda args: make_t0(args.n)),
+    "jordan": (("blocks",), (), lambda args: make_jordan(_parse_blocks(args.blocks))),
+    "s1": (("n", "alpha", "beta"), (), lambda args: make_s1(args.n, args.alpha, args.beta)),
+    "s2": (("n",), (), lambda args: make_s2(args.n)),
+    "s3": (("n",), ("a",),
+           lambda args: make_s3(args.n, a=_parse_assignments(args.a) if args.a else None)),
+    "s4": (("n",), (), lambda args: make_s4(args.n)),
+    "g6_38": ((), ("a",),
+              lambda args: make_g6_38(None if args.a is None else _parse_fraction(args.a))),
 }
 
 
+def _flag_list(opts):
+    flags = ["--" + opt for opt in opts]
+    return " and ".join(filter(None, [", ".join(flags[:-1]), flags[-1]]))
+
+
 def _make_family(args):
-    required, build = _FAMILIES[args.name]
+    required, optional, build = _FAMILIES[args.name]
+    every = dict.fromkeys(o for req, opt, _ in _FAMILIES.values() for o in req + opt)
+    unread = [o for o in every if o not in required + optional and getattr(args, o) is not None]
+    if unread:
+        raise argparse.ArgumentTypeError("%s does not read %s" % (args.name, _flag_list(unread)))
     # an empty --blocks counts as missing
     if any(getattr(args, opt) in (None, "") for opt in required):
-        flags = ["--" + opt for opt in required]
-        listed = " and ".join(filter(None, [", ".join(flags[:-1]), flags[-1]]))
-        raise argparse.ArgumentTypeError("%s requires %s" % (args.name, listed))
+        raise argparse.ArgumentTypeError("%s requires %s" % (args.name, _flag_list(required)))
     return build(args)
 
 

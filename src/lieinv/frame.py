@@ -18,20 +18,17 @@ roots, and each new block goes through the same rule.  Anything else
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
-from .algebra import sample_fraction
+from .algebra import sample_fraction, sampled_rank
 from .expr import (
     EXPR_ZERO,
     KernelError,
-    SingularPoint,
     coord,
     cos_of,
     evaluate,
     exp_of,
     from_atom,
-    param_atom,
     rational,
     sin_of,
     theta_atom,
@@ -41,7 +38,6 @@ from .linalg import (
     charpoly_exprs,
     inverse_exprs,
     nullspace_exprs,
-    rank_exprs,
     rational_roots,
 )
 
@@ -212,7 +208,7 @@ def lifted_invariants(g, signs=None):
 
 
 # ---------------------------------------------------------------------------
-# sampled Jacobian rank
+# sampled Jacobian rank: the rows at one point; algebra.sampled_rank samples
 
 
 def _factor_point(factor, params, rng):
@@ -278,49 +274,37 @@ def _rotation_power(c, s, m):
     return rc, rs
 
 
+def _theta_jacobian(lifted, x, params, rng):
+    """Rows d(x . B)/d(th_i) over Q at x, params and a sampled factor point.
+
+    By the product rule row i is x . B_1..B_{i-1} (sign_i ad_i) B_i..B_k,
+    with every factor evaluated at its own point from _factor_point.
+    """
+    factors = lifted.factors
+    points = [_factor_point(f, params, rng) for f in factors]
+    mats = [f.closed.map(lambda v, pt=pt: evaluate(v, pt)) for f, pt in zip(factors, points)]
+    suffix = [Matrix.identity(len(x), Fraction(1))]
+    for mat in reversed(mats):
+        suffix.append(mat.mul(suffix[-1]))
+    suffix.reverse()
+    rows = []
+    for i, f in enumerate(factors):
+        ad = f.ad.map(lambda v: f.sign * evaluate(v, params))
+        deriv = mats[i].row_vector_times(ad.row_vector_times(x))
+        rows.append(suffix[i + 1].row_vector_times(deriv))
+        x = mats[i].row_vector_times(x)
+    return rows
+
+
 def jacobian_rank(lifted, seed=0, trials=8, param_point=None):
-    """Generic rank of d(x . B)/d(theta) of the frame `lifted`, by exact sampling.
+    """Generic rank of d(x . B)/d(theta) of the frame `lifted`, by sampled_rank.
 
     Deterministic in seed; the maximum over the requested trials is
     returned.  This equals the coadjoint orbit dimension generically.
-    Raises ValueError when trials < 1.
+    Raises sampled_rank's ValueError and KernelError.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1, got %r" % (trials,))
-    g = lifted.algebra
-    n = g.dim
-    rng = random.Random(seed)
-    params = {}
-    for p in g.params:
-        a = param_atom(p)
-        if param_point and a in param_point:
-            params[a] = Fraction(param_point[a])
-        else:
-            params[a] = sample_fraction(rng)
-    ads = [f.ad.map(lambda v: evaluate(v, params)) for f in lifted.factors]
-    best = 0
-    for _ in range(trials):
-        xhat = [sample_fraction(rng) for _ in range(n)]
-        try:
-            points = [_factor_point(f, params, rng) for f in lifted.factors]
-            mats = [
-                f.closed.map(lambda v, pt=pt: evaluate(v, pt))
-                for f, pt in zip(lifted.factors, points)
-            ]
-        except SingularPoint:
-            continue
-        suffix = [Matrix.identity(n, Fraction(1))]
-        for mat in reversed(mats):
-            suffix.append(mat.mul(suffix[-1]))
-        suffix.reverse()
-        rows = []
-        prefix_vec = xhat
-        for i, f in enumerate(lifted.factors):
-            deriv = ads[i].row_vector_times(prefix_vec)
-            if f.sign < 0:
-                deriv = [-v for v in deriv]
-            deriv = mats[i].row_vector_times(deriv)
-            rows.append(suffix[i + 1].row_vector_times(deriv))
-            prefix_vec = mats[i].row_vector_times(prefix_vec)
-        best = max(best, rank_exprs(rows))
-    return best
+    (rank,), _ = sampled_rank(
+        lifted.algebra, lambda x, params, rng: [_theta_jacobian(lifted, x, params, rng)],
+        seed, trials, param_point,
+    )
+    return rank

@@ -389,6 +389,11 @@ def algebra_from_json(data):
         except ValueError as err:
             raise ParseError("malformed JSON: %s" % err)
     data = _json_value(data, dict, "an algebra must be a JSON object")
+    unknown = set(data) - {"dim", "name", "params", "brackets"}
+    if unknown:
+        raise ParseError("unknown key %s" % json.dumps(min(unknown)))
+    if "name" in data:
+        _json_value(data["name"], str, "name must be a string")
     dim = _json_value(data.get("dim"), int, "dim must be an integer")
     params = tuple(_json_value(data.get("params", []), list, "params must be a list"))
     _check_params(params)

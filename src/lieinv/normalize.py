@@ -38,16 +38,15 @@ annihilation system before they are returned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import sample_fraction
+from .algebra import sampled_rank
 from .expr import (
     Expr,
     KernelError,
     POLY_ONE,
     POLY_ZERO,
+    SingularPoint,
     atan_of,
     coefficients,
     coord_atom,
@@ -61,7 +60,6 @@ from .expr import (
     strip_common_ep,
     substitute,
 )
-from .linalg import rank_exprs
 from .verify import check_all
 
 
@@ -408,44 +406,24 @@ def _clear_denominator(f, candidates):
 def functionally_equivalent(first, second, g, seed=0, trials=6, param_point=None):
     """Exact test that two invariant families generate each other.
 
-    Substitutes random rational coordinates, leaving residual transcendental
-    values as formal field elements, and compares the ranks of the two
-    Jacobians and of their union; equality of generic ranks in all three
-    positions over the sampled points decides the answer.  Raises
-    ValueError when trials < 1.
+    algebra.sampled_rank substitutes random rational coordinates and
+    parameters into the two Jacobians, leaving residual transcendental
+    values as formal field elements, and ranks each Jacobian and their
+    union; equality of the three generic ranks decides the answer.  A point
+    where a substitution divides by zero is singular and skipped.  Raises
+    sampled_rank's ValueError and KernelError.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1, got %r" % (trials,))
-    rng = random.Random(seed)
-    n = g.dim
-    subs = {}
-    if param_point:
-        subs.update({a: rational(Fraction(v)) for a, v in param_point.items()})
-    firsts = [substitute(f, subs) if subs else f for f in first]
-    seconds = [substitute(f, subs) if subs else f for f in second]
-    grad_a = [
-        [differentiate(f, coord_atom(i)) for i in range(1, n + 1)] for f in firsts
-    ]
-    grad_b = [
-        [differentiate(f, coord_atom(i)) for i in range(1, n + 1)] for f in seconds
-    ]
-    best = None
-    for _ in range(trials):
-        point = {coord_atom(i): rational(sample_fraction(rng)) for i in range(1, n + 1)}
+    atoms = [coord_atom(i) for i in range(1, g.dim + 1)]
+    grads = [[[differentiate(f, a) for a in atoms] for f in fs] for fs in (first, second)]
+
+    def rows_at(x, params, rng):
+        point = {a: rational(v) for a, v in zip(atoms, x)}
+        point.update((a, rational(v)) for a, v in params.items())
         try:
-            rows_a = [[substitute(v, point) for v in row] for row in grad_a]
-            rows_b = [[substitute(v, point) for v in row] for row in grad_b]
-        except (ZeroDivisionError, KernelError):
-            continue
-        ra = rank_exprs(rows_a) if rows_a else 0
-        rb = rank_exprs(rows_b) if rows_b else 0
-        rab = rank_exprs(rows_a + rows_b) if rows_a or rows_b else 0
-        if best is None:
-            best = [ra, rb, rab]
-        else:
-            best[0] = max(best[0], ra)
-            best[1] = max(best[1], rb)
-            best[2] = max(best[2], rab)
-    if best is None:
-        raise KernelError("all sample points were singular")
-    return best[0] == best[1] == best[2]
+            rows_a, rows_b = ([[substitute(v, point) for v in r] for r in grad] for grad in grads)
+        except (ZeroDivisionError, KernelError) as err:
+            raise SingularPoint(str(err)) from err
+        return [rows_a, rows_b, rows_a + rows_b]
+
+    (ra, rb, rab), _ = sampled_rank(g, rows_at, seed, trials, param_point)
+    return ra == rb == rab

@@ -482,6 +482,19 @@ class TestFamily:
         assert out == ""
         assert err == "family error: %s\n" % message
 
+    @pytest.mark.parametrize("args, message", [
+        (["t0", "--n", "3", "--alpha", "3", "--blocks", "jordan,0,2", "--a", "5"],
+         "t0 does not read --blocks, --alpha and --a"),
+        (["s2", "--n", "5", "--a", "3=1"], "s2 does not read --a"),
+        (["g6_38", "--n", "6", "--run"], "g6_38 does not read --n"),
+        (["jordan", "--blocks", "jordan,0,3", "--beta", "1"], "jordan does not read --beta"),
+    ], ids=["t0", "s2-drift", "g6_38-size", "jordan-beta"])
+    def test_option_the_family_does_not_read_is_usage_error(self, args, message):
+        code, out, err = run(["family"] + args)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "family error: %s\n" % message
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):

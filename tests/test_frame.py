@@ -17,6 +17,8 @@ from lieinv import (
 from lieinv.expr import (
     EXPR_ONE,
     EXPR_ZERO,
+    KernelError,
+    SingularPoint,
     coord_atom,
     differentiate,
     expr_str,
@@ -27,6 +29,7 @@ from lieinv.expr import (
     theta_atom,
 )
 from lieinv.families import builtin_instances, make_jordan
+from lieinv.io import load_algebra
 from lieinv import frame
 from lieinv.frame import RecipeNeeded
 from lieinv.linalg import Matrix, det_exprs
@@ -210,6 +213,27 @@ class TestLiftedInvariants:
         with pytest.raises(ValueError, match="trials must be at least 1, got %d" % trials):
             jacobian_rank(lift, seed=2, trials=trials)
         assert jacobian_rank(lift, seed=2, trials=1) == 2
+
+    def test_jacobian_rank_at_a_parameter_pole_raises(self):
+        # 1/(a - 1) has a pole at a = 1, where every sample point is singular
+        g = load_algebra("dim 3\nparam a\n[1,2] = e3/(a - 1)\n")
+        lift = lifted_invariants(g)
+        pole = {param_atom("a"): Fraction(1)}
+        for route in (lambda: jacobian_rank(lift, param_point=pole),
+                      lambda: rank_coadjoint(g, param_point=pole)):
+            with pytest.raises(KernelError, match="all sample points were singular"):
+                route()
+        regular = {param_atom("a"): Fraction(2)}
+        assert jacobian_rank(lift, param_point=regular) == 2
+        assert rank_coadjoint(g, param_point=regular)[0] == 2
+
+    def test_jacobian_rank_with_every_factor_point_singular_raises(self, monkeypatch):
+        def singular(factor, params, rng):
+            raise SingularPoint("forced")
+
+        monkeypatch.setattr(frame, "_factor_point", singular)
+        with pytest.raises(KernelError, match="all sample points were singular"):
+            jacobian_rank(lifted_invariants(heisenberg()), seed=2)
 
     def test_jacobian_rank_on_pair_rows(self):
         # the frequency-2 rotation rows sample cos/sin of twice a rational

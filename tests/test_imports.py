@@ -48,6 +48,26 @@ def test_no_private_expr_names_outside_expr(path):
     assert list(private_expr_imports(path)) == []
 
 
+def random_constructions(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and "Random" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("algebra.py", "expr.py")], ids=lambda p: p.name
+)
+def test_random_generators_only_in_the_sampler_and_the_gcd_probe(path):
+    # algebra.sampled_rank is the one sampling loop; expr seeds its gcd probe
+    assert list(random_constructions(path)) == []
+
+
+def test_random_generator_guard_sees_the_sampler():
+    assert list(random_constructions(ROOT / "src" / "lieinv" / "algebra.py"))
+
+
 def bench_constant(filename, name):
     """The literal value assigned to a module-level name of a bench/ file."""
     tree = ast.parse((ROOT / "bench" / filename).read_text(), filename=filename)

@@ -212,6 +212,8 @@ class TestJson:
                 {"dim": 3, "brackets": [[1, 2, [[3, "1"]]], [1, 2, [[3, "2"]]]]},
                 "duplicate bracket [1,2]",
             ),
+            ({"dim": 3, "bracket": [[1, 2, [[3, "1"]]]]}, 'unknown key "bracket"'),
+            ({"dim": 3, "name": [1, 2]}, "name must be a string, not [1, 2]"),
         ],
     )
     def test_rejects_malformed_documents(self, doc, fragment):

@@ -317,6 +317,13 @@ class TestFunctionalEquivalence:
             functionally_equivalent([a, b], [b, a], inst.algebra, seed=7, trials=trials)
         assert functionally_equivalent([a, b], [b, a], inst.algebra, seed=7, trials=1)
 
+    def test_samples_the_parameters_without_a_point(self):
+        inst = make_g6_38()
+        res = eliminate(inst.lifted())
+        expected = inst.expected_invariants
+        assert functionally_equivalent(res.invariants, expected, inst.algebra, seed=3)
+        assert not functionally_equivalent(res.invariants, expected[:1], inst.algebra, seed=3)
+
     def test_respects_parameter_point(self):
         inst = make_s1(5, 1, -3)
         assert functionally_equivalent(
