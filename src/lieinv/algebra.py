@@ -35,17 +35,13 @@ class StructureError(ValueError):
 class LieAlgebra:
     """An n-dimensional Lie algebra over exact scalars."""
 
-    __slots__ = ("dim", "brackets", "params", "name", "labels", "coord_labels")
+    __slots__ = ("dim", "brackets", "params", "name")
 
-    def __init__(self, dim, brackets, params=(), name="", labels=None, coord_labels=None):
+    def __init__(self, dim, brackets, params=(), name=""):
         self.dim = dim
         self.brackets = brackets
         self.params = tuple(params)
         self.name = name
-        self.labels = tuple(labels) if labels else tuple("e%d" % i for i in range(1, dim + 1))
-        self.coord_labels = (
-            tuple(coord_labels) if coord_labels else tuple("x%d" % i for i in range(1, dim + 1))
-        )
 
     def __repr__(self):
         return "LieAlgebra(%r, dim=%d)" % (self.name, self.dim)
@@ -100,7 +96,7 @@ class LieAlgebra:
         return out
 
 
-def lie_algebra(dim, entries, params=(), name="", labels=None, coord_labels=None):
+def lie_algebra(dim, entries, params=(), name=""):
     """Build an algebra from (i, j) -> {k: coeff} entries of either order.
 
     Entries for both (i, j) and (j, i) must be antisymmetric if both appear.
@@ -135,7 +131,7 @@ def lie_algebra(dim, entries, params=(), name="", labels=None, coord_labels=None
                 )
         elif cleaned:
             norm[key] = cleaned
-    return LieAlgebra(dim, norm, params=params, name=name, labels=labels, coord_labels=coord_labels)
+    return LieAlgebra(dim, norm, params=params, name=name)
 
 
 def jacobi_defects(g):

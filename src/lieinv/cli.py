@@ -27,8 +27,6 @@ from .algebra import (
     StructureError,
     center,
     derived_series,
-    is_nilpotent,
-    is_solvable,
     lower_central_series,
     rank_coadjoint,
 )
@@ -54,11 +52,19 @@ EXIT_RECIPE = 3
 EXIT_BROKEN_PIPE = 141
 
 
+class _Unreadable(Exception):
+    """The input file or standard input cannot be read as text."""
+
+
 def _read_source(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        # UnicodeDecodeError has no filename, so name the path given
+        raise _Unreadable("%s: %s" % (path, getattr(err, "strerror", None) or err)) from err
 
 
 def _load(path):
@@ -114,8 +120,8 @@ def cmd_info(args):
         "center_dim": zdim,
         "derived_series": derived,
         "lower_central_series": lower,
-        "nilpotent": is_nilpotent(g),
-        "solvable": is_solvable(g),
+        "nilpotent": lower[-1] == 0,
+        "solvable": derived[-1] == 0,
         "coadjoint_rank": rank,
         "num_invariants": g.dim - rank,
     }
@@ -479,8 +485,8 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except FileNotFoundError as err:
-        print("cannot read %s" % err.filename, file=sys.stderr)
+    except _Unreadable as err:
+        print("cannot read %s" % err, file=sys.stderr)
         return EXIT_USAGE
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)

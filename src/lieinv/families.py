@@ -84,11 +84,7 @@ def make_t0(n):
             acc = {t: c for t, c in acc.items() if c}
             if acc:
                 entries[(a + 1, b + 1)] = acc
-    labels = ["e(%d,%d)" % p for p in pairs]
-    coord_labels = ["x(%d,%d)" % (p[1], p[0]) for p in pairs]
-    g = lie_algebra(
-        dim, entries, name="t0(%d)" % n, labels=labels, coord_labels=coord_labels
-    )
+    g = lie_algebra(dim, entries, name="t0(%d)" % n)
 
     def entry(row, col):
         # coordinate matrix is strictly lower triangular: entry (row, col),

@@ -18,15 +18,19 @@ form e<k>, x<k> or th<k> are reserved, because expressions read them as
 basis symbols, coordinates or frame parameters.  The JSON format is checked
 the same way, and both formats end in the same Jacobi validation.
 
-Expressions use the same syntax the library prints: x1, th2, parameter
-names, exp/log/atan/cos/sin calls, ^ for powers, and / for quotients.
+Expressions use the same syntax the library prints: integers, names (x1
+coordinates, th2 frame parameters, anything else a parameter),
+exp/log/atan/cos/sin calls, + - * / associating to the left with * and /
+binding tighter, and ^ with an integer exponent.  A + or - where an operand
+starts binds looser than ^ and tighter than * and /: -x1^2, 2*-x1^2 and
+x2 - -x1^2 each negate the power.  Malformed text, nesting too deep to
+parse and an integer literal past Python's digit limit are ParseErrors.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .algebra import StructureError, lie_algebra, validate
 from .expr import (
@@ -81,7 +85,10 @@ def _tokenize(text):
                 )
             break
         if m.group("num") is not None:
-            out.append(("num", int(m.group("num")), m.start()))
+            try:
+                out.append(("num", int(m.group("num")), m.start()))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError("integer too long at position %d" % m.start()) from None
         elif m.group("name") is not None:
             out.append(("name", m.group("name"), m.start()))
         else:
@@ -91,112 +98,87 @@ def _tokenize(text):
     return out
 
 
-class _ExprParser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
+_BINARY = {
+    "+": (1, lambda f, g: f + g),
+    "-": (1, lambda f, g: f - g),
+    "*": (2, lambda f, g: f * g),
+    "/": (2, lambda f, g: f / g),
+}
 
-    def peek(self):
-        return self.tokens[self.k]
 
-    def advance(self):
-        t = self.tokens[self.k]
-        self.k += 1
-        return t
+def _climb(tokens, k, least, text):
+    """Read tokens[k:] while operators bind at least `least`: (value, next k).
 
-    def expect_op(self, op):
-        kind, val, pos = self.advance()
-        if kind != "op" or val != op:
-            raise ParseError("expected %r at position %d in %r" % (op, pos, self.text))
+    Each right side is read one level tighter, so operators associate left.
+    """
+    f, k = _signed(tokens, k, text)
+    while _BINARY.get(tokens[k][1], (0,))[0] >= least:
+        prec, apply = _BINARY[tokens[k][1]]
+        g, k = _climb(tokens, k + 1, prec + 1, text)
+        f = apply(f, g)
+    return f, k
 
-    def parse(self):
-        f = self.sum()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input at position %d in %r" % (pos, self.text))
-        return f
 
-    def sum(self):
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.advance()
-            negate = val == "-"
-        f = self.product()
-        if negate:
-            f = -f
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                g = self.product()
-                f = f - g if val == "-" else f + g
-            else:
-                return f
+def _signed(tokens, k, text):
+    """Read an operand: any signs, then an atom with an optional ^ exponent.
 
-    def product(self):
-        f = self.power()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                g = self.power()
-                f = f * g if val == "*" else f / g
-            else:
-                return f
+    This is the one sign rule: wherever an operand starts, a sign binds
+    looser than ^ and tighter than * and /.
+    """
+    kind, val, pos = tokens[k]
+    if kind == "op" and val in "+-":
+        f, k = _signed(tokens, k + 1, text)
+        return (-f if val == "-" else f), k
+    f, k = _atom(tokens, k, text)
+    if tokens[k][:2] != ("op", "^"):
+        return f, k
+    kind, val, pos = tokens[k + 1]
+    sign = -1 if val == "-" else 1
+    if kind == "op" and val in "+-":
+        k += 1
+        kind, val, pos = tokens[k + 1]
+    if kind != "num":
+        raise ParseError("expected integer exponent at position %d" % pos)
+    return f ** (sign * val), k + 2
 
-    def power(self):
-        f = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            kind, ev, pos = self.advance()
-            sign = 1
-            if kind == "op" and ev == "-":
-                sign = -1
-                kind, ev, pos = self.advance()
-            if kind != "num":
-                raise ParseError("expected integer exponent at position %d" % pos)
-            return f ** (sign * ev)
-        return f
 
-    def atom(self):
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return rational(Fraction(val))
-        if kind == "op" and val == "(":
-            f = self.sum()
-            self.expect_op(")")
-            return f
-        if kind == "op" and val == "-":
-            return -self.atom()
-        if kind == "name":
-            nxt_kind, nxt_val, _ = self.peek()
-            if val in _FUNCTIONS and nxt_kind == "op" and nxt_val == "(":
-                self.advance()
-                arg = self.sum()
-                self.expect_op(")")
-                try:
-                    return _FUNCTIONS[val](arg)
-                except KernelError as err:
-                    raise ParseError("%s at position %d" % (err, pos))
-            m = _COORD.match(val)
-            if m:
-                return coord(int(m.group(1)))
-            m = _THETA.match(val)
-            if m:
-                return theta(int(m.group(1)))
-            return param(val)
-        raise ParseError("unexpected token at position %d in %r" % (pos, self.text))
+def _atom(tokens, k, text):
+    """Read a number, a parenthesized expression, a function call or a name."""
+    kind, val, pos = tokens[k]
+    if kind == "num":
+        return rational(val), k + 1
+    if kind == "op" and val == "(":
+        f, k = _climb(tokens, k + 1, 1, text)
+        if tokens[k][:2] != ("op", ")"):
+            raise ParseError("expected ')' at position %d in %r" % (tokens[k][2], text))
+        return f, k + 1
+    if kind != "name":
+        raise ParseError("unexpected token at position %d in %r" % (pos, text))
+    if val in _FUNCTIONS and tokens[k + 1][:2] == ("op", "("):
+        arg, k = _atom(tokens, k + 1, text)
+        try:
+            return _FUNCTIONS[val](arg), k
+        except KernelError as err:
+            raise ParseError("%s at position %d" % (err, pos))
+    m = _COORD.match(val)
+    if m:
+        return coord(int(m.group(1))), k + 1
+    m = _THETA.match(val)
+    return (theta(int(m.group(1))) if m else param(val)), k + 1
 
 
 def parse_expr(text):
     """Parse an expression in the syntax the library prints."""
+    tokens = _tokenize(text)
     try:
-        return _ExprParser(text).parse()
+        f, k = _climb(tokens, 0, 1, text)
     except KernelError as exc:
         raise ParseError(str(exc)) from exc
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    if tokens[k][0] != "end":
+        raise ParseError("trailing input at position %d in %r" % (tokens[k][2], text))
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,12 @@ def _straighten(work, table):
     """
     levels = {}
 
-    def put(word, c):
-        key = (len(word), _inversions(word))
-        bucket = levels.setdefault(key, {})
+    def put(word, c, inversions):
+        bucket = levels.setdefault((len(word), inversions), {})
         bucket[word] = bucket[word] + c if word in bucket else c
 
     for word, c in work.items():
-        put(word, c)
+        put(word, c, _inversions(word))
     result = {}
     while levels:
         key = max(levels)
@@ -201,9 +200,10 @@ def _straighten(work, table):
             pos = next(t for t in range(len(word) - 1) if word[t] > word[t + 1])
             a, b = word[pos], word[pos + 1]
             head, tail = word[:pos], word[pos + 2:]
-            put(head + (b, a) + tail, c)
+            put(head + (b, a) + tail, c, key[1] - 1)
             for k, ck in table.get((a, b), ()):
-                put(head + (k,) + tail, c * ck)
+                shorter = head + (k,) + tail
+                put(shorter, c * ck, _inversions(shorter))
     return result
 
 

@@ -202,6 +202,18 @@ class TestValidate:
         assert code == EXIT_USAGE
         assert "cannot read" in err
 
+    def test_directory_is_unreadable(self, tmp_path):
+        code, out, err = run(["info", str(tmp_path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("cannot read %s: " % tmp_path) and err.count("\n") == 1
+
+    def test_undecodable_file_is_unreadable(self, tmp_path):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"\xff\xfe")
+        code, out, err = run(["info", str(p)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("cannot read %s: " % p) and err.count("\n") == 1
+
     def test_stdin_dash(self):
         code, out, _ = run(["validate", "-"], stdin=SO3_DOC)
         assert code == EXIT_OK and "valid" in out
@@ -346,6 +358,19 @@ class TestVerify:
         assert err == (
             "expression error: not a coordinate of the 3-dimensional algebra: th2, x0, x9\n"
         )
+
+    def test_family_invariant_with_a_sign_after_an_operator(self):
+        _, doc, _ = run(["family", "jordan", "--blocks", "jordan,0,3"])
+        code, out, err = run(["verify", "-", "--expr", "x1*x3 + -x2^2/2"], stdin=doc)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[0] == "expression: x1*x3 - 1/2*x2^2"
+
+    def test_bracket_coefficient_with_a_sign_after_an_operator(self):
+        # [e1,e2] = c*e3 gives X_2 the residual -c*x3 on x1, so c = -2*a^2
+        doc = "dim 3\nparam a\n[1,2] = 2*-a^2*e3\n"
+        code, out, _ = run(["verify", "-", "--expr", "x1"], stdin=doc)
+        assert code == EXIT_VERIFY
+        assert "X_2 residual: 2*x3*a^2" in out.splitlines()
 
     def test_declared_parameters_are_accepted(self):
         doc = "dim 3\nparam a\n[1,2] = a*e3\n"

@@ -1,12 +1,14 @@
 """Text and JSON formats: expression grammar, algebra documents, LaTeX."""
 
 import json
+import random
 
 import pytest
+import sympy
 
 from lieinv import lie_algebra
 from lieinv.algebra import StructureError
-from lieinv.expr import coord, expr_str, param, rational, theta
+from lieinv.expr import ZeroDivision, coord, expr_str, param, rational, theta
 from lieinv.families import builtin_instances, make_g6_38, make_jordan, make_t0
 from lieinv.io import (
     ParseError,
@@ -69,12 +71,65 @@ class TestExpressionGrammar:
         assert expr_str(parse_expr("log(x1*x2)")) == "log(x1) + log(x2)"
 
     @pytest.mark.parametrize(
+        "text,printed",
+        [
+            ("2*-x1^2", "-2*x1^2"),
+            ("x2 - -x1^2", "x1^2 + x2"),
+            ("x1/-x2^2", "-1*x1/(x2^2)"),
+            ("2*-2^2", "-8"),
+            ("x1*x3 + -x2^2/2", "x1*x3 - 1/2*x2^2"),
+            ("2*+x1", "2*x1"),
+        ],
+    )
+    def test_a_sign_binds_looser_than_a_power(self, text, printed):
+        assert expr_str(parse_expr(text)) == printed
+
+    @pytest.mark.parametrize(
         "text",
-        ["", "x1 +", "((x1)", "foo(x1)", "x1^x2", "1/0", "log(0)", "x1 $ x2"],
+        [
+            "", "x1 +", "((x1)", "foo(x1)", "x1^x2", "1/0", "log(0)", "x1 $ x2",
+            pytest.param("(" * 400 + "x1" + ")" * 400, id="400-parentheses"),
+            pytest.param("-" * 3000 + "x1", id="3000-signs"),
+            pytest.param("1" * 5000, id="5000-digits"),
+        ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             parse_expr(text)
+
+    def test_agrees_with_sympy_on_signs_and_powers(self):
+        rng = random.Random(2006)
+        symbols = {name: sympy.Symbol(name) for name in SIGNED_ATOMS[:5]}
+        for _ in range(300):
+            text = signed_text(rng, 2)
+            theirs = sympy.parse_expr(text.replace("^", "**"), local_dict=symbols)
+            try:
+                ours = parse_expr(text)
+            except ParseError as err:
+                # the one rejection is a zero denominator; sympy reads it as zoo,
+                # which a later ^0 may absorb
+                assert isinstance(err.__cause__, ZeroDivision), text
+                continue
+            mine = sympy.parse_expr(expr_str(ours).replace("^", "**"), local_dict=symbols)
+            assert sympy.cancel(mine - theirs) == 0, text
+
+
+SIGNED_ATOMS = ["x1", "x2", "x3", "a", "th1", "0", "1", "2", "3"]
+
+
+def signed_text(rng, depth):
+    """Seeded expression text without calls: signs after operators, negative exponents."""
+    sign = rng.choice(["", "", "-", "+", "--", "-+"])
+    if depth and rng.random() < 0.3:
+        operand = "(%s)" % signed_text(rng, depth - 1)
+    else:
+        operand = rng.choice(SIGNED_ATOMS)
+    if rng.random() < 0.4:
+        operand += "^%s%d" % (rng.choice(["", "-"]), rng.randint(0, 3))
+    text = sign + operand
+    for _ in range(rng.randint(0, 3) if depth else 0):
+        text += rng.choice([" + ", " - ", "*", "/"]) + signed_text(rng, depth - 1)
+    return text
 
 
 class TestAlgebraDocuments:
